@@ -2,8 +2,13 @@
 
 #include <sys/resource.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
@@ -27,7 +32,34 @@ double CpuS() {
          static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) * 1e-6;
 }
 
+bool ResetPeakRss() {
+#ifdef __GLIBC__
+  // Hand freed heap pages back first, so the reset peak starts from live
+  // memory rather than from what earlier phases freed.
+  malloc_trim(0);
+#endif
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) {
+    return false;
+  }
+  const bool ok = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && ok;
+}
+
 double PeakRssMb() {
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    long long kib = -1;
+    while (kib < 0 && std::fgets(line, sizeof(line), f) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %lld kB", &kib) != 1) {
+        kib = -1;
+      }
+    }
+    std::fclose(f);
+    if (kib >= 0) {
+      return static_cast<double>(kib) / 1024.0;
+    }
+  }
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux reports KiB
@@ -72,12 +104,14 @@ double HighestSupportedPercentile(size_t n) {
   return best;
 }
 
+double SupportedPercentile(const std::vector<double>& values, double p) {
+  return HighestSupportedPercentile(values.size()) >= p ? Percentile(values, p) : std::nan("");
+}
+
 Dist Summarize(const std::vector<double>& values) {
   Dist d;
   d.n = values.size();
   d.p50 = Percentile(values, 50.0);
-  d.p90 = Percentile(values, 90.0);
-  d.p99 = Percentile(values, 99.0);
   d.tail_pct = HighestSupportedPercentile(values.size());
   d.tail = Percentile(values, d.tail_pct > 50.0 ? d.tail_pct : 100.0);
   return d;

@@ -22,7 +22,13 @@ namespace dzbench {
 double NowS();
 // Process CPU seconds, user + system, over all threads.
 double CpuS();
-// Peak resident set size of the process so far, in MiB.
+// Returns freed heap pages to the kernel (glibc), then resets the peak
+// resident set the kernel keeps for this process to the current resident set
+// (writes 5 to /proc/self/clear_refs). Returns false when
+// the kernel refuses; PeakRssMb then keeps reporting the peak of the whole
+// process.
+bool ResetPeakRss();
+// Peak resident set since the last ResetPeakRss (VmHWM), in MiB.
 double PeakRssMb();
 
 // ---- distributions ------------------------------------------------------------
@@ -36,14 +42,16 @@ double Mean(const std::vector<double>& values);
 // The highest of 50, 90, 99, 99.9 and 99.99 that leaves at least ten samples
 // above it in a sample of n, or 0 when even the median does not (n < 20).
 double HighestSupportedPercentile(size_t n);
+// Percentile(values, p) when the sample supports p (HighestSupportedPercentile
+// is at least p), NaN otherwise: a metric never reports a tail that one or two
+// samples decide.
+double SupportedPercentile(const std::vector<double>& values, double p);
 
 // A timing reported the way the benchmark prints every timing: the median, the
 // highest percentile the sample supports, and the sample count.
 struct Dist {
   size_t n = 0;
   double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
   double tail_pct = 0.0;  // HighestSupportedPercentile(n); 0 = none
   double tail = 0.0;      // value at tail_pct, or the maximum when tail_pct <= 50
 };

@@ -3,18 +3,20 @@
 //   dzbench --workload fmt_pipeline|variant_serve|sim_cluster --seed N
 //           --seconds S --trace 0|1
 //
-// It sets the workload up several times (set-up time is the median), measures
-// the workload's own phase for about S seconds and runs the other two phases
-// as fixed-size companions, so every run reports every metric; the slices of
-// the three phases are interleaved (see Phase in phases.h). With --trace 1 it
-// measures twice, untraced and then traced, S/2 seconds each: end-to-end
-// metrics come from the untraced pass, per-layer metrics and the self-time
-// table from the traced one, and the report states the tracing overhead on
-// every end-to-end metric. The last line of stdout is one JSON object:
+// It sets the workload up several times (set-up time is the median of the
+// workload's own phase), measures the workload's own phase for about S seconds
+// and runs the other two phases as fixed-size companions, so every run reports
+// every metric; the slices of the three phases are interleaved (see Phase in
+// phases.h). Set-up time and peak memory cover the workload's own phase only.
+// With --trace 1 it measures twice, untraced and then traced, S/2 seconds
+// each: end-to-end metrics come from the untraced pass, per-layer metrics and
+// the self-time table from the traced one, and the report states the tracing
+// overhead on every end-to-end metric. The last line of stdout is one JSON object:
 // {"correct", "attempted", "failed", "metrics"}. A failed check exits 1.
 //
 // `dzbench --list-metrics` prints the metric declarations, one JSON object a
 // line, which run.py checks against BENCHMARK.json.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -85,7 +87,7 @@ const MetricDecl kPerLayer[] = {
      "e2e_ms_p50 e2e_ms_p90 goodput_rps"},
     {"driver.queue_ms_p50", "ms", "lower", "variant_serve", "e2e_ms_p50 e2e_ms_p90"},
     {"driver.queue_ms_p90", "ms", "lower", "variant_serve", "e2e_ms_p50 e2e_ms_p90"},
-    {"driver.lateness_ms_p99", "ms", "lower", "variant_serve",
+    {"driver.lateness_ms_p90", "ms", "lower", "variant_serve",
      "none: shows whether the open-loop run is valid"},
     {"workload.generate_s", "s", "lower", "sim_cluster",
      "sim_deltazip_req_per_s sim_vllm_req_per_s sim_elastic_req_per_s"},
@@ -158,9 +160,20 @@ struct Pass {
   std::vector<Span> spans;
 };
 
+// Peak resident set while the main phase works: the kernel's peak is reset
+// before each of its set-ups and slices and read after it, so companion work
+// in between does not count (memory companions keep resident does).
+struct MainPeak {
+  bool scoped = true;  // false: the kernel refused the reset, the peak is process-wide
+  double mb = 0.0;
+  void Begin() { scoped = ResetPeakRss() && scoped; }
+  void End() { mb = std::max(mb, PeakRssMb()); }
+};
+
 // Runs one pass: every phase is begun, then the slices of all phases are
 // interleaved (main phase first in each round), then every phase is ended.
-Pass RunPass(std::vector<std::unique_ptr<Phase>>& phases, double seconds, bool traced) {
+Pass RunPass(std::vector<std::unique_ptr<Phase>>& phases, double seconds, bool traced,
+             MainPeak& peak) {
   Tracer::Get().SetEnabled(traced);
   for (auto& phase : phases) {
     phase->Begin(traced, seconds);
@@ -168,7 +181,13 @@ Pass RunPass(std::vector<std::unique_ptr<Phase>>& phases, double seconds, bool t
   std::vector<std::vector<Span>> spans(phases.size());
   for (int k = 0; k < kSlices; ++k) {
     for (size_t i = 0; i < phases.size(); ++i) {
+      if (i == 0) {
+        peak.Begin();
+      }
       phases[i]->Slice(k, kSlices);
+      if (i == 0) {
+        peak.End();
+      }
       // Span parents index the list they were taken in; rebase them.
       const int offset = static_cast<int>(spans[i].size());
       for (Span s : Tracer::Get().Take()) {
@@ -283,30 +302,43 @@ int Main(int argc, char** argv) {
 
   std::printf("dzbench workload=%s seed=%lld seconds=%g trace=%d\n", workload.c_str(), seed,
               seconds, trace);
+  MainPeak peak;
   std::vector<double> setup_times;
+  std::vector<double> companion_setup_times;
   for (int rep = 0; rep < kSetupReps; ++rep) {
-    const double t0 = NowS();
-    for (auto& p : phases) {
-      p->Setup();
-    }
+    peak.Begin();
+    double t0 = NowS();
+    phases[0]->Setup();
     setup_times.push_back(NowS() - t0);
+    peak.End();
+    t0 = NowS();
+    for (size_t i = 1; i < phases.size(); ++i) {
+      phases[i]->Setup();
+    }
+    companion_setup_times.push_back(NowS() - t0);
   }
-  double t0 = NowS();
+  const double t0 = NowS();
   for (auto& p : phases) {
     p->Prepare();
   }
   const double reference_s = NowS() - t0;
-  std::printf("set-up: %s over %d repetitions; reference outputs %.2f s (not set-up)\n",
-              FormatDist(Summarize(setup_times), "s").c_str(), kSetupReps, reference_s);
+  std::printf("set-up of %s: %s over %d repetitions; companions %s (not set-up); reference "
+              "outputs %.2f s (not set-up)\n",
+              workload.c_str(), FormatDist(Summarize(setup_times), "s").c_str(), kSetupReps,
+              FormatDist(Summarize(companion_setup_times), "s").c_str(), reference_s);
 
   const double main_seconds = trace == 1 ? seconds / 2.0 : seconds;
-  Pass untraced = RunPass(phases, main_seconds, false);
+  Pass untraced = RunPass(phases, main_seconds, false, peak);
   Pass traced;
   if (trace == 1) {
-    traced = RunPass(phases, main_seconds, true);
+    traced = RunPass(phases, main_seconds, true, peak);
   }
   untraced.e2e["setup_s"] = {Median(setup_times), "s"};
-  untraced.e2e["peak_rss_mb"] = {PeakRssMb(), "MB"};
+  untraced.e2e["peak_rss_mb"] = {peak.mb, "MB"};
+  untraced.notes.push_back(std::string("peak_rss_mb: peak resident set during ") +
+                           (peak.scoped ? "the set-ups and slices of " + workload
+                                        : std::string("the whole process (the kernel refused "
+                                                      "to reset the peak)")));
 
   std::printf("\n");
   for (const std::string& line : untraced.notes) {
@@ -365,7 +397,9 @@ int Main(int argc, char** argv) {
   bool metrics_ok = true;
   for (const auto& [name, metric] : out) {
     if (declared.count(name) == 0 || !std::isfinite(metric.value)) {
-      failures.push_back("metric " + name + " is undeclared or not finite");
+      failures.push_back("metric " + name +
+                         " is undeclared or not finite (a tail its sample does not support "
+                         "is NaN)");
       metrics_ok = false;
     }
   }

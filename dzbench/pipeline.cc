@@ -128,8 +128,7 @@ class PipelinePhase : public Phase {
       };
       const double finetune_s = mean_s("train.finetune");
       r.layer["train.finetune_s"] = {finetune_s, "s"};
-      r.layer["train.step_gflops"] = {acc.train_flops / acc.ops / finetune_s * 1e-9,
-                                      "GFLOP/s"};
+      r.layer["train.step_gflops"] = {TrainFlops() / acc.ops / finetune_s * 1e-9, "GFLOP/s"};
       r.layer["pipeline.cpu_per_wall"] = {acc.cpu_s / acc.wall_s, "ratio"};
       r.layer["compress.delta_compress_s"] = {mean_s("compress.delta_compress"), "s"};
       r.layer["compress.encode_s"] = {
@@ -145,15 +144,30 @@ class PipelinePhase : public Phase {
   struct Acc {
     long long ops = 0;
     std::vector<double> op_s;  // wall time of each completed variant
+    std::vector<uint64_t> variant_seeds;  // of each completed variant
     double fp16_bytes = 0.0;
     double encoded_bytes = 0.0;
     double stored_bytes = 0.0;
     double acc_fp16 = 0.0;
     double acc_compressed = 0.0;
-    double train_flops = 0.0;
     double wall_s = 0.0;
     double cpu_s = 0.0;
   };
+
+  // Analytic training FLOPs of the completed variants. FineTuneFmt draws its
+  // examples from the variant's rng and nothing else, so replaying the rng
+  // gives the exact token counts; done after the pass, outside every timer.
+  double TrainFlops() const {
+    const TaskMix mix(Raw(tasks_), kMixWeights);
+    double flops = 0.0;
+    for (uint64_t vseed : acc_.variant_seeds) {
+      dz::Rng replay(vseed);
+      for (int i = 0; i < s_.finetune_steps * s_.batch; ++i) {
+        flops += TrainExampleFlops(base_->weights(), mix.Sample(replay).tokens.size());
+      }
+    }
+    return flops;
+  }
 
   void RunVariant(int variant) {
     PhaseResult& r = r_;
@@ -172,14 +186,6 @@ class PipelinePhase : public Phase {
     ft.lr = 2e-3f;
     ft.freeze_embeddings = true;
     dz::Rng rng(vseed);
-    {
-      // FineTuneFmt draws its examples from the rng and nothing else, so a copy
-      // replays the exact token counts for the analytic FLOP figure.
-      dz::Rng replay = rng;
-      for (int i = 0; i < ft.steps * ft.batch; ++i) {
-        acc.train_flops += TrainExampleFlops(base.weights(), mix.Sample(replay).tokens.size());
-      }
-    }
     dz::Transformer tuned(base.weights());
     {
       const ScopedSpan s("train.finetune", group);
@@ -254,6 +260,7 @@ class PipelinePhase : public Phase {
     }
     ++acc.ops;
     acc.op_s.push_back(NowS() - t0);
+    acc.variant_seeds.push_back(vseed);
     acc.fp16_bytes += static_cast<double>(tuned.weights().Fp16ByteSize());
     acc.encoded_bytes += static_cast<double>(encoded.size());
     acc.stored_bytes += static_cast<double>(stored.size());

@@ -1,9 +1,12 @@
 // Tests of the benchmark's own measurement code (harness.h). run.py runs them
 // after every build and refuses to measure when one fails.
+#include <sys/mman.h>
+
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "harness.h"
 
@@ -47,6 +50,33 @@ void TestPercentiles() {
   EXPECT(d.n == 101 && d.tail_pct == 90.0 && Near(d.tail, 91.0, 1e-12));
   const Dist small = Summarize({3.0, 1.0, 2.0});
   EXPECT(small.tail_pct == 0.0 && small.tail == 3.0);
+
+  // A tail the sample does not support is NaN, not the maximum.
+  EXPECT(Near(SupportedPercentile(v, 90.0), 91.0, 1e-12));
+  EXPECT(std::isnan(SupportedPercentile(v, 99.0)));
+  EXPECT(std::isnan(SupportedPercentile({1.0, 2.0, 3.0}, 50.0)));
+}
+
+void TestPeakRssReset() {
+  // Touch 64 MiB mapped outside the allocator (whose free lists or quarantine
+  // may keep freed memory resident), unmap it, reset: the peak falls back.
+  const size_t bytes = size_t{64} << 20;
+  void* block = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  EXPECT(block != MAP_FAILED);
+  if (block == MAP_FAILED) {
+    return;
+  }
+  for (size_t i = 0; i < bytes; i += 4096) {
+    static_cast<char*>(block)[i] = 1;
+  }
+  const double peak = PeakRssMb();
+  EXPECT(peak >= 64.0);
+  munmap(block, bytes);
+  if (ResetPeakRss()) {
+    EXPECT(PeakRssMb() < peak - 32.0);
+  } else {
+    std::fprintf(stderr, "dzbench_selftest: /proc/self/clear_refs refused; peak is process-wide\n");
+  }
 }
 
 void TestScheduleIsDeterministic() {
@@ -211,6 +241,7 @@ void TestSelfTimes() {
 
 int main() {
   dzbench::TestPercentiles();
+  dzbench::TestPeakRssReset();
   dzbench::TestScheduleIsDeterministic();
   dzbench::TestOpenLoopTimesFromDueAndMeasuresLateness();
   dzbench::TestGoodputInterpolation();

@@ -226,9 +226,9 @@ class SimPhase : public Phase {
                     acc[c].rounds, acc[c].loads);
       r.notes.push_back(line);
     }
-    // run.py keeps these per input seed and fails a later run whose reports
-    // for the same inputs differ.
-    std::snprintf(line, sizeof(line), "sim_cluster digest %016llx: %016llx %016llx %016llx",
+    // Window 0 is replayed in every set-up and every pass and must match this.
+    std::snprintf(line, sizeof(line),
+                  "  window-0 report digests (input seed %016llx): %016llx %016llx %016llx",
                   static_cast<unsigned long long>(seed_),
                   static_cast<unsigned long long>(reference_[kDeltaZip]),
                   static_cast<unsigned long long>(reference_[kVllm]),
