@@ -282,18 +282,18 @@ std::map<std::string, SpanTotals> TotalsByName(const std::vector<Span>& spans) {
 
 // ---- open-loop load generator ----------------------------------------------------
 
-std::vector<Arrival> MakeSchedule(uint64_t seed, double rate, double duration_s,
-                                  int n_variants, double zipf_alpha, int n_prompts) {
+std::vector<Arrival> MakeSchedule(uint64_t seed, double rate, int n_requests, int n_variants,
+                                  double zipf_alpha, int n_prompts) {
   dz::Rng rng(seed);
   std::vector<Arrival> out;
-  double t = rng.Exponential(rate);
-  while (t < duration_s) {
+  double t = 0.0;
+  for (int i = 0; i < n_requests; ++i) {
+    t += rng.Exponential(rate);
     Arrival a;
     a.due_s = t;
     a.variant = rng.Zipf(n_variants, zipf_alpha);
-    a.prompt = static_cast<int>(out.size() % static_cast<size_t>(n_prompts));
+    a.prompt = i % n_prompts;
     out.push_back(a);
-    t += rng.Exponential(rate);
   }
   return out;
 }
@@ -366,44 +366,51 @@ OpenLoopResult RunOpenLoop(const std::vector<Arrival>& schedule, int workers,
   return result;
 }
 
-std::vector<double> NonDecreasingFit(const std::vector<double>& values) {
-  // Pool adjacent violators: merge neighbouring blocks while a block's mean is
-  // above the next one's.
-  std::vector<double> mean;
-  std::vector<size_t> count;
-  for (double v : values) {
-    mean.push_back(v);
-    count.push_back(1);
-    while (mean.size() >= 2 && mean[mean.size() - 2] > mean.back()) {
-      const size_t n = count.back() + count[count.size() - 2];
-      const double m = (mean.back() * static_cast<double>(count.back()) +
-                        mean[mean.size() - 2] * static_cast<double>(count[count.size() - 2])) /
-                       static_cast<double>(n);
-      mean.pop_back();
-      count.pop_back();
-      mean.back() = m;
-      count.back() = n;
+double SearchGoodput(const std::vector<double>& ladder, double limit, int start,
+                     const std::function<double(size_t)>& p90_at, int* last_pass) {
+  const int n = static_cast<int>(ladder.size());
+  std::map<int, double> p90;  // measured steps
+  auto passes = [&](int i) {
+    const auto [it, fresh] = p90.try_emplace(i, 0.0);
+    if (fresh) {
+      it->second = p90_at(static_cast<size_t>(i));
     }
-  }
-  std::vector<double> fit;
-  for (size_t b = 0; b < mean.size(); ++b) {
-    fit.insert(fit.end(), count[b], mean[b]);
-  }
-  return fit;
-}
-
-double InterpolateGoodput(const std::vector<double>& rates, const std::vector<double>& p90s,
-                          double limit) {
-  const std::vector<double> fit =
-      NonDecreasingFit({p90s.begin(), p90s.begin() + std::min(rates.size(), p90s.size())});
-  for (size_t i = 0; i < fit.size(); ++i) {
-    if (fit[i] > limit) {
-      const double pass_rate = i > 0 ? rates[i - 1] : 0.0;
-      const double pass_p90 = i > 0 ? fit[i - 1] : 0.0;
-      return pass_rate + (rates[i] - pass_rate) * (limit - pass_p90) / (fit[i] - pass_p90);
+    return it->second <= limit;
+  };
+  int lo = -1;  // highest step known to pass; -1 stands for rate 0
+  int hi = n;   // lowest step above lo known to fail; n: none fails
+  if (start < 0 || start >= n) {
+    while (hi - lo > 1) {
+      const int mid = lo + (hi - lo) / 2;
+      if (passes(mid)) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
     }
+  } else if (passes(start)) {
+    for (lo = start; lo + 1 < n && passes(lo + 1); ++lo) {
+    }
+    hi = lo + 1;
+  } else {
+    for (hi = start; hi > 0 && !passes(hi - 1); --hi) {
+    }
+    lo = hi - 1;
   }
-  return fit.empty() ? 0.0 : rates[fit.size() - 1];
+  *last_pass = lo;
+  if (hi == n) {
+    return ladder[static_cast<size_t>(n - 1)];
+  }
+  // Rate 0 counts as a passing step with zero latency. A failed request makes
+  // the failing step's p90 infinite, and the passing rate stands.
+  const double pass_rate = lo >= 0 ? ladder[static_cast<size_t>(lo)] : 0.0;
+  const double pass_p90 = lo >= 0 ? p90[lo] : 0.0;
+  const double fail_rate = ladder[static_cast<size_t>(hi)];
+  const double fail_p90 = p90[hi];
+  if (!std::isfinite(fail_p90)) {
+    return pass_rate;
+  }
+  return pass_rate + (fail_rate - pass_rate) * (limit - pass_p90) / (fail_p90 - pass_p90);
 }
 
 }  // namespace dzbench

@@ -1,6 +1,6 @@
 // Measurement harness of the repository benchmark: clocks, distribution
 // summaries, in-memory spans with self-time attribution, the open-loop load
-// generator and the goodput interpolation. Nothing here knows about DeltaZip;
+// generator and the goodput search. Nothing here knows about DeltaZip;
 // the phases in pipeline.cc, serve.cc and sim.cc call into the program and
 // use these helpers around the calls.
 #ifndef DZBENCH_HARNESS_H_
@@ -142,12 +142,12 @@ struct Arrival {
   int prompt = 0;
 };
 
-// Poisson arrivals at `rate` req/s over [0, duration_s); variants drawn by
-// Zipf(alpha) popularity over `n_variants` (rank = id). Prompts cycle through
-// the `n_prompts` pool in order, so every schedule carries the same prompt mix.
-// Deterministic for a given seed.
-std::vector<Arrival> MakeSchedule(uint64_t seed, double rate, double duration_s,
-                                  int n_variants, double zipf_alpha, int n_prompts);
+// `n_requests` Poisson arrivals at `rate` req/s, the first due after one
+// exponential gap; variants drawn by Zipf(alpha) popularity over `n_variants`
+// (rank = id). Prompts cycle through the `n_prompts` pool in order, so every
+// schedule carries the same prompt mix. Deterministic for a given seed.
+std::vector<Arrival> MakeSchedule(uint64_t seed, double rate, int n_requests, int n_variants,
+                                  double zipf_alpha, int n_prompts);
 
 // What happened to one request, in seconds from the phase start.
 struct RequestTiming {
@@ -180,20 +180,17 @@ OpenLoopResult RunOpenLoop(const std::vector<Arrival>& schedule, int workers,
 
 // ---- goodput -------------------------------------------------------------------
 
-// The least-squares non-decreasing fit of a sequence (pool adjacent
-// violators); +inf entries stay +inf.
-std::vector<double> NonDecreasingFit(const std::vector<double>& values);
-
-// Highest offered rate whose p90 latency stays under `limit`, from a ladder of
-// increasing rates and their measured p90s. The p90s are first fitted by a
-// non-decreasing curve, so one noisy step on either side of the knee is
-// averaged with its neighbours instead of deciding the figure; then the rate
-// is interpolated linearly between the last step that passes and the first
-// that fails. Rate 0 counts as a passing step with zero latency, so a ladder
-// that fails at once still yields a number; a ladder that never fails returns
-// its top rate.
-double InterpolateGoodput(const std::vector<double>& rates, const std::vector<double>& p90s,
-                          double limit);
+// One search of a fixed ladder of increasing rates for its knee: the highest
+// step whose p90 latency stays under `limit` and the next step, which breaks
+// it. `p90_at(i)` serves step i and returns its p90. With `start` < 0 the
+// search bisects the whole ladder; otherwise it walks from step `start` (the
+// last passing step of the previous search) up until a step fails, or down
+// until one passes, which costs two steps when the knee has not moved.
+// Returns the rate interpolated linearly between the two steps to where p90
+// meets the limit (from rate 0 at zero latency when even step 0 fails; the top
+// rate when no step fails) and sets `*last_pass` to the passing step, or -1.
+double SearchGoodput(const std::vector<double>& ladder, double limit, int start,
+                     const std::function<double(size_t)>& p90_at, int* last_pass);
 
 }  // namespace dzbench
 

@@ -34,7 +34,7 @@ PipelineScale ScaleFor(Scale scale) {
     s.pretrain_steps = 40;
     s.finetune_steps = 30;
     s.eval_n = 32;
-    s.fixed_ops = 32;
+    s.fixed_ops = 48;
   }
   return s;
 }

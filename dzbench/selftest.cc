@@ -80,23 +80,23 @@ void TestPeakRssReset() {
 }
 
 void TestScheduleIsDeterministic() {
-  const auto a = MakeSchedule(42, 100.0, 5.0, 64, 1.0, 16);
-  const auto b = MakeSchedule(42, 100.0, 5.0, 64, 1.0, 16);
-  const auto c = MakeSchedule(43, 100.0, 5.0, 64, 1.0, 16);
-  EXPECT(!a.empty() && a.size() == b.size());
+  const auto a = MakeSchedule(42, 100.0, 500, 64, 1.0, 16);
+  const auto b = MakeSchedule(42, 100.0, 500, 64, 1.0, 16);
+  const auto c = MakeSchedule(43, 100.0, 500, 64, 1.0, 16);
+  EXPECT(a.size() == 500 && b.size() == 500 && c.size() == 500);
   bool same = a.size() == b.size();
   for (size_t i = 0; same && i < a.size(); ++i) {
     same = a[i].due_s == b[i].due_s && a[i].variant == b[i].variant && a[i].prompt == b[i].prompt;
   }
   EXPECT(same);
-  EXPECT(c.size() != a.size() || c[0].due_s != a[0].due_s);
-  // Poisson at 100 req/s over 5 s: about 500 arrivals, sorted, in range.
-  EXPECT(a.size() > 400 && a.size() < 600);
+  EXPECT(c[0].due_s != a[0].due_s);
+  // Poisson at 100 req/s: 500 arrivals take about 5 s, sorted, in range.
+  EXPECT(a.back().due_s > 4.0 && a.back().due_s < 6.0);
   int variant0 = 0;
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT(a[i].due_s >= 0.0 && a[i].due_s < 5.0);
+    EXPECT(a[i].due_s > 0.0);
     EXPECT(i == 0 || a[i].due_s >= a[i - 1].due_s);
-    EXPECT(a[i].variant >= 0 && a[i].variant < 64 && a[i].prompt >= 0 && a[i].prompt < 16);
+    EXPECT(a[i].variant >= 0 && a[i].variant < 64 && a[i].prompt == static_cast<int>(i % 16));
     variant0 += a[i].variant == 0 ? 1 : 0;
   }
   EXPECT(variant0 > static_cast<int>(a.size()) / 10);  // Zipf: the head is hot
@@ -153,28 +153,39 @@ void TestOpenLoopTimesFromDueAndMeasuresLateness() {
   }
 }
 
-void TestGoodputInterpolation() {
-  // Passes at 10 and 20, fails at 40: interpolate between (20, 50 ms) and
-  // (40, 150 ms) to the 100 ms limit -> 30.
-  EXPECT(Near(InterpolateGoodput({10, 20, 40}, {20, 50, 150}, 100), 30.0, 1e-9));
+void TestGoodputSearch() {
+  // p90 doubles with every step: 10, 20, 40, 80, 160 ms at 10..160 req/s. With
+  // a 100 ms limit the knee lies between 80 and 160 req/s, interpolated from
+  // (80, 80 ms) to (160, 160 ms) -> 100.
+  const std::vector<double> ladder = {10, 20, 40, 80, 160};
+  std::vector<size_t> served;
+  auto doubling = [&](size_t i) {
+    served.push_back(i);
+    return 10.0 * std::pow(2.0, static_cast<double>(i));
+  };
+  int last = -2;
+  EXPECT(Near(SearchGoodput(ladder, 100, -1, doubling, &last), 100.0, 1e-9));
+  EXPECT(last == 3 && served.size() <= 3);  // bisection
+  // Walking from the previous knee costs two steps when it has not moved.
+  served.clear();
+  EXPECT(Near(SearchGoodput(ladder, 100, 3, doubling, &last), 100.0, 1e-9));
+  EXPECT(last == 3 && served == std::vector<size_t>({3, 4}));
+  // From below it walks up, from above it walks down; each step is served once.
+  served.clear();
+  EXPECT(Near(SearchGoodput(ladder, 100, 1, doubling, &last), 100.0, 1e-9));
+  EXPECT(last == 3 && served == std::vector<size_t>({1, 2, 3, 4}));
+  served.clear();
+  EXPECT(Near(SearchGoodput(ladder, 100, 4, doubling, &last), 100.0, 1e-9));
+  EXPECT(last == 3 && served == std::vector<size_t>({4, 3}));
   // Never fails: the top rate.
-  EXPECT(Near(InterpolateGoodput({10, 20, 40}, {20, 50, 60}, 100), 40.0, 1e-9));
+  EXPECT(Near(SearchGoodput(ladder, 1000, 2, doubling, &last), 160.0, 1e-9) && last == 4);
   // Fails at once: from (0, 0) to (10, 200 ms) -> 5.
-  EXPECT(Near(InterpolateGoodput({10, 20}, {200, 300}, 100), 5.0, 1e-9));
-  // A noisy ladder is fitted first: 150 and 60 pool to 105, so the crossing
-  // lies between (10, 50) and (20, 105).
-  const std::vector<double> fit = NonDecreasingFit({50, 150, 60, 200});
-  EXPECT(fit.size() == 4 && fit[1] == 105.0 && fit[2] == 105.0 && fit[3] == 200.0);
-  EXPECT(Near(InterpolateGoodput({10, 20, 40, 80}, {50, 150, 60, 200}, 100),
-              10.0 + 10.0 * 50.0 / 55.0, 1e-9));
-  // A spurious pass above the knee is pooled away too: 130 and 90 -> 110.
-  EXPECT(Near(InterpolateGoodput({10, 20, 40}, {50, 130, 90}, 100), 10.0 + 10.0 * 50.0 / 60.0,
-              1e-9));
-  EXPECT(NonDecreasingFit({1, INFINITY, 2}).back() == INFINITY);
-  // A failed request (infinite p90) fails its step without producing NaN.
-  EXPECT(Near(InterpolateGoodput({10, 20}, {50, INFINITY}, 100), 10.0, 1e-9));
-  // Exactly at the limit passes.
-  EXPECT(Near(InterpolateGoodput({10, 20}, {100, 200}, 100), 10.0, 1e-9));
+  auto slow = [](size_t) { return 200.0; };
+  EXPECT(Near(SearchGoodput(ladder, 100, -1, slow, &last), 5.0, 1e-9) && last == -1);
+  // Exactly at the limit passes; a failed request (infinite p90) fails its
+  // step without producing NaN, and the passing rate stands.
+  auto cliff = [](size_t i) { return i <= 1 ? 100.0 : INFINITY; };
+  EXPECT(Near(SearchGoodput(ladder, 100, -1, cliff, &last), 20.0, 1e-9) && last == 1);
 }
 
 Span MakeSpan(const char* name, int64_t start_ms, int64_t end_ms, int parent) {
@@ -244,7 +255,7 @@ int main() {
   dzbench::TestPeakRssReset();
   dzbench::TestScheduleIsDeterministic();
   dzbench::TestOpenLoopTimesFromDueAndMeasuresLateness();
-  dzbench::TestGoodputInterpolation();
+  dzbench::TestGoodputSearch();
   dzbench::TestSelfTimes();
   if (dzbench::g_failures > 0) {
     std::fprintf(stderr, "dzbench_selftest: %d expectation(s) failed\n", dzbench::g_failures);

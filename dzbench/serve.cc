@@ -28,18 +28,21 @@ struct ServeScale {
   int prompts = 0;      // prompt pool size
   int prompt_min = 0, prompt_max = 0, output_min = 0, output_max = 0;
   double zipf_alpha = 1.0;
-  double fixed_rate = 0.0;  // req/s, about half of the measured capacity
-  double fixed_s = 0.0;     // companion: fixed duration; main: share of the budget
-  // Main: the fixed-rate loop lasts at least this many expected requests, so
-  // that a short budget still gives p90s with ten samples beyond them.
-  int min_fixed_requests = 150;
-  int fixed_segments = 5;   // the fixed-rate loop is split to interleave with the rest
-  double step_s = 0.0;      // goodput ladder step, same convention
+  double fixed_rate = 0.0;   // req/s, about a third of the measured capacity
+  int segment_requests = 0;  // one fixed-rate segment; its p90 has ten samples beyond
   std::vector<double> ladder;  // req/s, geometric
+  int step_requests = 0;       // one goodput ladder step; its p90 has ten samples beyond
   double limit_ms = 0.0;       // p90 latency limit for goodput
   int probe_prompts = 8;
   int kernel_reps = 0;
 };
+
+// The goodput ladder replays one fixed arrival trace, scaled to each step's
+// rate, in every run: the steps of a search share their bursts, so latency
+// grows with the rate, and goodput compares code and machines rather than the
+// luck of a Poisson draw near saturation. The fixed-rate traffic comes from
+// the workload seed.
+constexpr uint64_t kLadderTraceSeed = 0x1add3;
 
 std::vector<double> Geometric(double first, double ratio, int n) {
   std::vector<double> out;
@@ -49,31 +52,30 @@ std::vector<double> Geometric(double first, double ratio, int n) {
   return out;
 }
 
-// The companion serves the same model and traffic shape for a fixed, shorter
-// time, from fewer distinct fine-tunes.
+// The companion serves the same model and traffic shape as the main phase,
+// from fewer distinct fine-tunes. Both do a round every slice; the main phase
+// fills its share of the time budget with more fixed-rate segments.
 ServeScale ScaleFor(Scale scale) {
   ServeScale s;
   s.config = dz::ModelConfig::Small();
   s.prompt_min = 4;
-  s.prompt_max = 24;
-  s.output_min = 4;
-  s.output_max = 32;
-  s.fixed_rate = 40.0;
-  s.ladder = Geometric(60.0, 1.1, 24);
-  s.limit_ms = 120.0;
+  s.prompt_max = 16;
+  s.output_min = 2;
+  s.output_max = 14;
+  s.fixed_rate = 60.0;
+  s.segment_requests = 100;
+  s.ladder = Geometric(30.0, 1.15, 24);
+  s.step_requests = 100;
+  s.limit_ms = 60.0;
   if (scale == Scale::kMain) {
     s.distinct = 4;
     s.prompts = 16;
-    s.fixed_s = 0.5;
-    s.step_s = 0.1;
     s.kernel_reps = 200;
   } else {
     s.pretrain_steps = 20;
     s.finetune_steps = 10;
     s.distinct = 2;
     s.prompts = 8;
-    s.fixed_s = 3.0;
-    s.step_s = 0.5;
     s.kernel_reps = 50;
   }
   return s;
@@ -166,13 +168,6 @@ class ServePhase : public Phase {
   PhaseResult End(const std::vector<Span>& spans) override;
 
  private:
-  // A pass is a fixed list of stages, fixed-rate segments alternating with
-  // ladder steps, so that every figure samples the whole pass.
-  enum class Stage {
-    kFixed,   // one segment of the fixed-rate open loop
-    kLadder,  // the next goodput ladder step, until one fails
-  };
-
   // Registers the population from artifact bytes; appends per-load ms.
   void Load(dz::DeltaZipService& service);
   // Serves one open-loop schedule; counts token matches, checks outputs and
@@ -180,31 +175,38 @@ class ServePhase : public Phase {
   OpenLoopResult Serve(const std::vector<Arrival>& schedule, const char* span_name);
   void Probe();
   void FixedSegment();
-  void LadderStep();
+  // One search of the goodput ladder; appends its goodput.
+  void SearchGoodputLadder();
+  // A round: register the population afresh, serve a fixed-rate segment
+  // (even rounds) or search the goodput ladder (odd rounds), then, in the main
+  // phase only, more segments until its share of the time budget is used;
+  // release the population.
+  void Round(int k, double deadline_s);
 
   struct Pass {
     bool traced = false;
-    double fixed_segment_s = 0.0;
-    double step_s = 0.0;
+    double seconds = 0.0;  // main: the pass's time budget
+    double wall_s = 0.0;   // time spent in rounds so far
     PhaseResult r;
     std::unique_ptr<dz::DeltaZipService> service;
-    std::vector<Stage> stages;
-    size_t next_stage = 0;
-    int interleaved = 0;  // stages planned across the slices; the rest run last
-    int loads = 0;        // times the population was registered
-    int fixed_done = 0;
+    int rounds = 0;
     std::vector<double> load_ms;
-    std::vector<double> e2e_ms, queue_ms;  // fixed-rate segments
+    std::vector<double> e2e_ms, queue_ms;  // every fixed-rate request
+    // Per fixed-rate segment. The end-to-end figures are medians over
+    // segments, so a burst of host noise that slows one segment does not
+    // decide a tail.
+    std::vector<double> segment_p50s, segment_p90s;
     // Every served request, fixed-rate and ladder: the generator and Generate
     // do the same work in both, and the tails need the samples.
     std::vector<double> lateness_ms, generate_ms;
     long long tokens = 0;
-    double busy_s = 0.0;  // summed service time of the fixed-rate segments
-    double wall_s = 0.0;  // summed wall time of the fixed-rate segments
+    double busy_s = 0.0;          // summed service time of the fixed-rate segments
+    double segment_wall_s = 0.0;  // summed wall time of the fixed-rate segments
     long long served_tokens = 0;
     long long matched_tokens = 0;
-    std::vector<double> rates, p90s;
-    bool ladder_done = false;
+    std::vector<double> goodputs;  // one per ladder search
+    int last_pass = -1;            // the previous search's highest passing step
+    int ladder_steps = 0;          // steps served over all searches
   };
 
   Scale scale_;
@@ -375,70 +377,53 @@ void ServePhase::Probe() {
 
 void ServePhase::FixedSegment() {
   Pass& p = pass_;
-  const int seg = p.fixed_done++;
+  const auto seg = static_cast<uint64_t>(p.segment_p50s.size());
   const std::vector<Arrival> schedule =
-      MakeSchedule(MixSeed(seed_, 10 + static_cast<uint64_t>(seg)), s_.fixed_rate,
-                   p.fixed_segment_s, s_.population, s_.zipf_alpha, s_.prompts);
+      MakeSchedule(MixSeed(seed_, 10 + seg), s_.fixed_rate, s_.segment_requests,
+                   s_.population, s_.zipf_alpha, s_.prompts);
   const OpenLoopResult res = Serve(schedule, "serve.fixed_rate");
+  std::vector<double> e2e;
   for (const RequestTiming& q : res.requests) {
-    p.e2e_ms.push_back(q.ok ? q.LatencyS() * 1e3 : std::numeric_limits<double>::infinity());
+    e2e.push_back(q.ok ? q.LatencyS() * 1e3 : std::numeric_limits<double>::infinity());
     p.queue_ms.push_back(q.QueueS() * 1e3);
     p.busy_s += q.ServiceS();
   }
-  p.wall_s += res.wall_s;
+  p.e2e_ms.insert(p.e2e_ms.end(), e2e.begin(), e2e.end());
+  p.segment_p50s.push_back(SupportedPercentile(e2e, 50.0));
+  p.segment_p90s.push_back(SupportedPercentile(e2e, 90.0));
+  p.segment_wall_s += res.wall_s;
 }
 
-// Goodput: a fixed geometric ladder of offered rates, stopping once two steps
-// in a row break the p90 latency limit (failed requests count as over it).
-void ServePhase::LadderStep() {
+// Goodput: the highest rate on a fixed geometric ladder whose p90 latency
+// stays under the limit (failed requests count as over it), interpolated
+// between that step and the next (SearchGoodput). The first search of a pass
+// bisects the ladder; later ones walk from the previous knee.
+void ServePhase::SearchGoodputLadder() {
   Pass& p = pass_;
-  if (p.ladder_done) {
-    return;
-  }
-  const size_t step = p.rates.size();
-  const std::vector<Arrival> schedule =
-      MakeSchedule(MixSeed(seed_, 20 + step), s_.ladder[step], p.step_s, s_.population,
-                   s_.zipf_alpha, s_.prompts);
-  const OpenLoopResult res = Serve(schedule, "serve.ladder_step");
-  std::vector<double> lat;
-  for (const RequestTiming& q : res.requests) {
-    lat.push_back(q.ok ? q.LatencyS() * 1e3 : std::numeric_limits<double>::infinity());
-  }
-  p.rates.push_back(s_.ladder[step]);
-  p.p90s.push_back(Percentile(lat, 90.0));
-  const size_t n = p.p90s.size();
-  p.ladder_done = (n >= 2 && p.p90s[n - 1] > s_.limit_ms && p.p90s[n - 2] > s_.limit_ms) ||
-                  n == s_.ladder.size();
+  const std::vector<Arrival> unit = MakeSchedule(kLadderTraceSeed, 1.0, s_.step_requests,
+                                                 s_.population, s_.zipf_alpha, s_.prompts);
+  auto p90_at = [&](size_t i) {
+    std::vector<Arrival> schedule = unit;
+    for (Arrival& a : schedule) {
+      a.due_s /= s_.ladder[i];
+    }
+    const OpenLoopResult res = Serve(schedule, "serve.ladder_step");
+    std::vector<double> lat;
+    for (const RequestTiming& q : res.requests) {
+      lat.push_back(q.ok ? q.LatencyS() * 1e3 : std::numeric_limits<double>::infinity());
+    }
+    ++p.ladder_steps;
+    return Percentile(lat, 90.0);
+  };
+  const int start = p.goodputs.empty() ? -1 : p.last_pass;
+  p.goodputs.push_back(SearchGoodput(s_.ladder, s_.limit_ms, start, p90_at, &p.last_pass));
 }
 
-void ServePhase::Begin(bool traced, double seconds) {
-  pass_ = Pass();
+void ServePhase::Round(int k, double deadline_s) {
   Pass& p = pass_;
-  p.traced = traced;
-  const bool main = scale_ == Scale::kMain;
-  const double fixed_s =
-      main ? std::max(s_.fixed_s * seconds, s_.min_fixed_requests / s_.fixed_rate) : s_.fixed_s;
-  p.fixed_segment_s = fixed_s / s_.fixed_segments;
-  p.step_s = main ? s_.step_s * seconds : s_.step_s;
-  if (!setup_ok_) {
-    p.r.Fail("variant_serve: set-up artifacts did not decode");
-  }
-  // Fixed-rate segments alternating with ladder steps; ladder steps still
-  // needed after that run last.
-  for (int i = 0; i < s_.fixed_segments; ++i) {
-    p.stages.push_back(Stage::kFixed);
-    p.stages.push_back(Stage::kLadder);
-  }
-  p.interleaved = static_cast<int>(p.stages.size());
-  for (size_t i = s_.fixed_segments; i < s_.ladder.size(); ++i) {
-    p.stages.push_back(Stage::kLadder);
-  }
-}
-
-void ServePhase::Slice(int k, int slices) {
-  Pass& p = pass_;
-  const ScopedSpan root("serve.slice", 0, -1);
-  // Every slice serves a population registered afresh from the artifact bytes
+  const double t0 = NowS();
+  const ScopedSpan root("serve.round", 0, -1);
+  // Every round serves a population registered afresh from the artifact bytes
   // and releases it at the end, so that no variant stays resident while the
   // other phases' slices run.
   p.service = std::make_unique<dz::DeltaZipService>(dz::Transformer(base_->weights()),
@@ -447,55 +432,74 @@ void ServePhase::Slice(int k, int slices) {
   if (p.traced && k == 0) {
     Probe();
   }
-  const size_t until = k + 1 == slices ? p.stages.size()
-                                       : static_cast<size_t>(ShareEnd(p.interleaved, k, slices));
-  for (; p.next_stage < until; ++p.next_stage) {
-    if (p.stages[p.next_stage] == Stage::kFixed) {
-      FixedSegment();
-    } else {
-      LadderStep();
-    }
+  if (k % 2 == 0) {
+    FixedSegment();
+  } else {
+    SearchGoodputLadder();
+  }
+  const double segment_s = s_.segment_requests / s_.fixed_rate;
+  while (p.wall_s + NowS() - t0 + segment_s < deadline_s) {
+    FixedSegment();
   }
   p.service.reset();
-  ++p.loads;
+  ++p.rounds;
+  p.wall_s += NowS() - t0;
+}
+
+void ServePhase::Begin(bool traced, double seconds) {
+  pass_ = Pass();
+  pass_.traced = traced;
+  pass_.seconds = seconds;
+  if (!setup_ok_) {
+    pass_.r.Fail("variant_serve: set-up artifacts did not decode");
+  }
+}
+
+void ServePhase::Slice(int k, int slices) {
+  // The main phase keeps a cumulative deadline, as in pipeline.cc.
+  Round(k, scale_ == Scale::kMain ? pass_.seconds * (k + 1) / slices : 0.0);
 }
 
 PhaseResult ServePhase::End(const std::vector<Span>& spans) {
   Pass& p = pass_;
   PhaseResult r = std::move(p.r);
   const bool main = scale_ == Scale::kMain;
-  const double goodput = InterpolateGoodput(p.rates, p.p90s, s_.limit_ms);
+  const double goodput = Median(p.goodputs);
   const Dist load = Summarize(p.load_ms);
   const Dist e2e = Summarize(p.e2e_ms);
   r.e2e["load_ms_p50"] = {load.p50, "ms"};
   r.e2e["load_ms_p90"] = {SupportedPercentile(p.load_ms, 90.0), "ms"};
-  r.e2e["e2e_ms_p50"] = {e2e.p50, "ms"};
-  r.e2e["e2e_ms_p90"] = {SupportedPercentile(p.e2e_ms, 90.0), "ms"};
+  r.e2e["e2e_ms_p50"] = {Median(p.segment_p50s), "ms"};
+  r.e2e["e2e_ms_p90"] = {Median(p.segment_p90s), "ms"};
   r.e2e["goodput_rps"] = {goodput, "req/s"};
   r.e2e["serve_token_match"] = {
       static_cast<double>(p.matched_tokens) / static_cast<double>(p.served_tokens), "ratio"};
 
   const Dist lateness = Summarize(p.lateness_ms);
   char line[320];
-  std::snprintf(line, sizeof(line), "%s %s: %d variants loaded %d times, load %s", name(),
-                main ? "main" : "companion", s_.population, p.loads,
+  std::snprintf(line, sizeof(line), "%s %s: %d rounds, each loading %d variants: load %s",
+                name(), main ? "main" : "companion", p.rounds, s_.population,
                 FormatDist(load, "ms").c_str());
   r.notes.push_back(line);
   std::snprintf(line, sizeof(line),
-                "  fixed rate %.0f req/s for %.1f s on %d workers: e2e %s; generator "
-                "lateness over every request %s",
-                s_.fixed_rate, p.fixed_segment_s * s_.fixed_segments, Workers(),
-                FormatDist(e2e, "ms").c_str(), FormatDist(lateness, "ms").c_str());
+                "  fixed rate %.0f req/s on %d workers, %zu segments of %d requests: e2e p50 "
+                "%.4g ms, p90 %.4g ms (medians over segments; pooled %s); generator lateness "
+                "over every request %s",
+                s_.fixed_rate, Workers(), p.segment_p50s.size(), s_.segment_requests,
+                Median(p.segment_p50s), Median(p.segment_p90s), FormatDist(e2e, "ms").c_str(),
+                FormatDist(lateness, "ms").c_str());
   r.notes.push_back(line);
-  std::snprintf(line, sizeof(line), "  goodput ladder (%.2f s steps, p90 limit %.0f ms):",
-                p.step_s, s_.limit_ms);
-  std::string ladder = line;
-  for (size_t i = 0; i < p.rates.size(); ++i) {
-    std::snprintf(line, sizeof(line), " %.0f->%.1fms", p.rates[i], p.p90s[i]);
+  std::string ladder;
+  for (double g : p.goodputs) {
+    std::snprintf(line, sizeof(line), " %.1f", g);
     ladder += line;
   }
-  std::snprintf(line, sizeof(line), "; goodput %.1f req/s", goodput);
-  r.notes.push_back(ladder + line);
+  std::snprintf(line, sizeof(line),
+                "  goodput (p90 limit %.0f ms, ladder %.0f..%.0f req/s x%.2f, %d requests a "
+                "step, %d steps served): median %.1f req/s of searches",
+                s_.limit_ms, s_.ladder.front(), s_.ladder.back(), s_.ladder[1] / s_.ladder[0],
+                s_.step_requests, p.ladder_steps, goodput);
+  r.notes.push_back(line + ladder);
 
   if (p.traced) {
     const auto totals = TotalsByName(spans);
@@ -513,10 +517,10 @@ PhaseResult ServePhase::End(const std::vector<Span>& spans) {
       gen_total += g;
     }
     r.layer["serve.ms_per_token"] = {gen_total / static_cast<double>(p.tokens), "ms"};
-    r.layer["serve.worker_busy"] = {p.busy_s / (p.wall_s * Workers()), "ratio"};
+    r.layer["serve.worker_busy"] = {p.busy_s / (p.segment_wall_s * Workers()), "ratio"};
     r.layer["driver.queue_ms_p50"] = {SupportedPercentile(p.queue_ms, 50.0), "ms"};
     r.layer["driver.queue_ms_p90"] = {SupportedPercentile(p.queue_ms, 90.0), "ms"};
-    r.layer["driver.lateness_ms_p90"] = {SupportedPercentile(p.lateness_ms, 90.0), "ms"};
+    r.layer["driver.lateness_ms_p99"] = {SupportedPercentile(p.lateness_ms, 99.0), "ms"};
   }
   return r;
 }

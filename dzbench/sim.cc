@@ -31,7 +31,7 @@ SimScale ScaleFor(Scale scale) {
   SimScale s;
   s.rate = 40.0;
   s.window_s = scale == Scale::kMain ? 300.0 : 60.0;
-  s.fixed_windows = scale == Scale::kMain ? 0 : 32;
+  s.fixed_windows = scale == Scale::kMain ? 0 : 48;
   return s;
 }
 
