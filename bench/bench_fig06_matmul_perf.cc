@@ -7,7 +7,9 @@
 // A second section measures THIS library's CPU kernels (blocked kernel layer vs
 // the retained naive reference) — dense NT, fused packed-quant, 2:4 sparse —
 // and, with `--json <path>`, emits the numbers for the perf trajectory
-// (tools/bench_json.sh; the CI gate compares the speedup ratios).
+// (tools/bench_json.sh; the CI gate compares the speedup ratios). Its m = 1
+// rows are the decode step: dense NT through PanelGemmNT over a PanelMatrix
+// packed once, 2:4 sparse through the matrix's own 16-row panels.
 #include "bench/bench_common.h"
 #include "src/simgpu/kernel_model.h"
 #include "src/tensor/kernels.h"
@@ -51,6 +53,28 @@ void RunMeasuredKernels(bool quick, BenchJson* json) {
   }
 
   const double window = quick ? 0.05 : 0.2;
+  {
+    const int m = 1;
+    const double flops = 2.0 * m * k * n;
+    const Matrix x = Matrix::Random(m, k, rng, 1.0f);
+    const Matrix w = Matrix::Random(n, k, rng, 0.02f);
+    const PanelMatrix panels = PanelMatrix::Pack(w);
+    const auto sp = Sparse24Matrix::Pack(MagnitudePrune24(w), 4, 128);
+    const double naive_s = TimeSecsStable([&] { kernels::ref::GemmNT(x, w); }, window);
+    const double s_naive_s =
+        TimeSecsStable([&] { kernels::ref::Sparse24GemmNT(x, sp); }, window);
+    for (const std::string& isa : isas) {
+      kernels::ForceBackend(isa);
+      kernels::PanelGemmNT(x, panels);  // warm
+      const double panel_s =
+          TimeSecsStable([&] { kernels::PanelGemmNT(x, panels); }, window);
+      add_row("dense_nt", m, isa, flops, panel_s, naive_s);
+      sp.MatmulNT(x);  // warm
+      const double s_panel_s = TimeSecsStable([&] { sp.MatmulNT(x); }, window);
+      add_row("sparse24_nt", m, isa, flops, s_panel_s, s_naive_s);
+    }
+    kernels::ResetBackend();
+  }
   for (int m : {quick ? 4 : 8, quick ? 64 : 512}) {
     const double flops = 2.0 * m * k * n;
 

@@ -4,6 +4,7 @@
 
 #include "src/compress/calibration.h"
 #include "src/tensor/half.h"
+#include "src/tensor/kernels.h"
 #include "src/util/check.h"
 #include "src/util/logging.h"
 #include "src/util/thread_pool.h"
@@ -100,34 +101,68 @@ ByteBuffer CompressedDelta::Serialize() const {
   return out;
 }
 
-void CompressedDelta::FinalizeStoredBytes() {
-  if (config.lossless) {
-    stored_bytes_ = GdeflateCompress(Serialize()).size();
-  } else {
-    stored_bytes_ = PackedByteSize();
+size_t CompressedDelta::StoredByteSize() const {
+  // A race computes the same value twice; every caller sees a complete one.
+  size_t bytes = stored_bytes_.bytes_.load();
+  if (bytes == 0) {
+    bytes = config.lossless ? GdeflateCompress(Serialize()).size() : PackedByteSize();
+    stored_bytes_.bytes_.store(bytes);
+  }
+  return bytes;
+}
+
+LinearOverlay CompressedDelta::MakeOverlay(const LinearPanels& base) const {
+  LinearOverlay overlay = base.MakeOverlay();
+  for (const auto& layer : layers) {
+    const auto it = base.by_name.find(layer.name);
+    DZ_CHECK(it != base.by_name.end());
+    const PanelMatrix* base_w = &it->second;
+    const CompressedDeltaLayer* delta = &layer;
+    if (delta->is_sparse) {
+      overlay.ops[layer.name] = [base_w, delta](const Matrix& x) {
+        return kernels::PanelGemmNT(x, *base_w, &delta->sparse);
+      };
+    } else {
+      overlay.ops[layer.name] = [base_w, delta](const Matrix& x) {
+        Matrix y = kernels::PanelGemmNT(x, *base_w);
+        y.AddInPlace(delta->dense.MatmulNT(x));
+        return y;
+      };
+    }
+  }
+  return overlay;
+}
+
+void CompressedDelta::AddNonLinearDeltas(ModelWeights& w) const {
+  auto add_vec = [](std::vector<float>& dst, const std::vector<float>& delta) {
+    DZ_CHECK_EQ(dst.size(), delta.size());
+    for (size_t i = 0; i < dst.size(); ++i) {
+      dst[i] += delta[i];
+    }
+  };
+  w.embedding.AddInPlace(embedding_delta);
+  w.lm_head.AddInPlace(lm_head_delta);
+  add_vec(w.final_norm, final_norm_delta);
+  DZ_CHECK_EQ(attn_norm_deltas.size(), w.layers.size());
+  for (size_t i = 0; i < w.layers.size(); ++i) {
+    add_vec(w.layers[i].attn_norm, attn_norm_deltas[i]);
+    add_vec(w.layers[i].mlp_norm, mlp_norm_deltas[i]);
   }
 }
 
-LinearOverlay CompressedDelta::MakeOverlay(const ModelWeights& base) const {
-  LinearOverlay overlay;
-  for (const auto& layer : layers) {
-    // Find the matching base weight.
-    const Matrix* base_w = nullptr;
-    for (const auto& named : base.LinearLayers()) {
-      if (named.name == layer.name) {
-        base_w = named.weight;
-        break;
-      }
-    }
-    DZ_CHECK(base_w != nullptr);
-    const CompressedDeltaLayer* delta_layer = &layer;
-    overlay.ops[layer.name] = [base_w, delta_layer](const Matrix& x) {
-      Matrix y = MatmulNT(x, *base_w);          // batched base-path GEMM
-      y.AddInPlace(delta_layer->MatmulNT(x));   // sparse low-precision delta path
-      return y;
-    };
+ModelWeights CompressedDelta::HostWeights(const ModelWeights& base) const {
+  ModelWeights host;
+  host.config = base.config;
+  host.embedding = base.embedding;
+  host.final_norm = base.final_norm;
+  host.lm_head = base.lm_head;
+  host.layers.resize(base.layers.size());
+  for (size_t i = 0; i < base.layers.size(); ++i) {
+    host.layers[i].attn_norm = base.layers[i].attn_norm;
+    host.layers[i].mlp_norm = base.layers[i].mlp_norm;
   }
-  return overlay;
+  AddNonLinearDeltas(host);
+  return host;
 }
 
 ModelWeights CompressedDelta::ApplyTo(const ModelWeights& base) const {
@@ -140,20 +175,7 @@ ModelWeights CompressedDelta::ApplyTo(const ModelWeights& base) const {
       }
     }
   }
-  auto add_vec = [](std::vector<float>& dst, const std::vector<float>& delta) {
-    DZ_CHECK_EQ(dst.size(), delta.size());
-    for (size_t i = 0; i < dst.size(); ++i) {
-      dst[i] += delta[i];
-    }
-  };
-  merged.embedding.AddInPlace(embedding_delta);
-  merged.lm_head.AddInPlace(lm_head_delta);
-  add_vec(merged.final_norm, final_norm_delta);
-  DZ_CHECK_EQ(attn_norm_deltas.size(), merged.layers.size());
-  for (size_t i = 0; i < merged.layers.size(); ++i) {
-    add_vec(merged.layers[i].attn_norm, attn_norm_deltas[i]);
-    add_vec(merged.layers[i].mlp_norm, mlp_norm_deltas[i]);
-  }
+  AddNonLinearDeltas(merged);
   return merged;
 }
 
@@ -286,7 +308,6 @@ CompressedDelta DeltaCompress(const ModelWeights& base, const ModelWeights& fine
     out.mlp_norm_deltas.push_back(
         VecDelta(finetuned.layers[i].mlp_norm, base.layers[i].mlp_norm));
   }
-  out.FinalizeStoredBytes();
   return out;
 }
 

@@ -16,6 +16,7 @@
 #ifndef SRC_COMPRESS_DELTA_H_
 #define SRC_COMPRESS_DELTA_H_
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -66,24 +67,45 @@ struct CompressedDelta {
   // Packed size before any lossless pass.
   size_t PackedByteSize() const;
   // Actual stored size: equals PackedByteSize() unless config.lossless, in which case
-  // it is the measured size of the losslessly compressed serialized artifact.
-  size_t StoredByteSize() const { return stored_bytes_; }
+  // it is the measured size of the losslessly compressed serialized artifact. That
+  // costs a full GdeflateCompress, so it runs on the first call only and the result
+  // is kept (the artifact must not change afterwards). Safe to call concurrently.
+  size_t StoredByteSize() const;
 
   // Deterministic binary serialization of the whole artifact.
   ByteBuffer Serialize() const;
 
-  // Decoupled execution against `base` (must outlive the overlay): every compressed
-  // layer computes x·w_baseᵀ + x·Δ̃ᵀ.
-  LinearOverlay MakeOverlay(const ModelWeights& base) const;
+  // Decoupled execution against the base model's panels (which must outlive the
+  // overlay): every linear layer of the base computes x·w_baseᵀ + x·Δ̃ᵀ through
+  // kernels::PanelGemmNT, or x·w_baseᵀ alone when the artifact has no delta for it.
+  // Bit-identical to MatmulNT(x, w_base) followed by AddInPlace(layer.MatmulNT(x)).
+  LinearOverlay MakeOverlay(const LinearPanels& base) const;
+
+  // The model a variant runs on under MakeOverlay: base's embeddings, norms and LM
+  // head with this artifact's fp16 deltas applied, and empty linear layers — the
+  // overlay supplies all of them, so no base linear weight is copied.
+  ModelWeights HostWeights(const ModelWeights& base) const;
 
   // Merged full-precision weights (base + all deltas) — the "add delta back" path.
   ModelWeights ApplyTo(const ModelWeights& base) const;
 
-  // Set by DeltaCompress; exposed for tests constructing artifacts manually.
-  void FinalizeStoredBytes();
-
  private:
-  size_t stored_bytes_ = 0;
+  // Adds the fp16 deltas of the non-linear parameter groups to `w`.
+  void AddNonLinearDeltas(ModelWeights& w) const;
+
+  // StoredByteSize() once computed, 0 before. A copy starts unmeasured: its
+  // fields may still be edited before its first use.
+  class CachedSize {
+   public:
+    CachedSize() = default;
+    CachedSize(const CachedSize&) {}
+    CachedSize& operator=(const CachedSize&) {
+      bytes_.store(0);
+      return *this;
+    }
+    mutable std::atomic<size_t> bytes_{0};
+  };
+  CachedSize stored_bytes_;
 };
 
 // Runs the ΔCompress pipeline. `calibration` holds token sequences (the paper uses a

@@ -1,5 +1,6 @@
 #include "src/compress/serialize.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -151,7 +152,8 @@ class Reader {
   Matrix Fp16Matrix() {
     const uint32_t rows = U32();
     const uint32_t cols = U32();
-    if (static_cast<uint64_t>(rows) * cols * 2 > size_) {
+    if (rows > INT32_MAX || cols > INT32_MAX ||
+        static_cast<uint64_t>(rows) * cols * 2 > size_) {
       ok_ = false;
       return Matrix();
     }
@@ -254,12 +256,17 @@ bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out) {
     if (!r.ok()) {
       return false;
     }
+    // Untrusted dimensions: check them against the array lengths before
+    // FromStorage lays the storage out (and sizes its panels) from them.
     if (layer.is_sparse) {
       auto packed = r.Words();
       auto indices = r.Words();
       auto scales = r.Fp16Vec();
       auto zeros = r.Bytes();
-      if (!r.ok()) {
+      if (!r.ok() ||
+          !Sparse24Matrix::StorageFits(rows, cols, bits, out.config.group_size,
+                                       packed.size(), indices.size(), scales.size(),
+                                       zeros.size())) {
         return false;
       }
       layer.sparse = Sparse24Matrix::FromStorage(rows, cols, bits, out.config.group_size,
@@ -269,7 +276,9 @@ bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out) {
       auto packed = r.Words();
       auto scales = r.Fp16Vec();
       auto zeros = r.Bytes();
-      if (!r.ok()) {
+      if (!r.ok() ||
+          !PackedQuantMatrix::StorageFits(rows, cols, bits, out.config.group_size,
+                                          packed.size(), scales.size(), zeros.size())) {
         return false;
       }
       layer.dense = PackedQuantMatrix::FromStorage(rows, cols, bits,
@@ -290,11 +299,7 @@ bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out) {
     out.attn_norm_deltas.push_back(r.Fp16Vec());
     out.mlp_norm_deltas.push_back(r.Fp16Vec());
   }
-  if (!r.ok() || !r.AtEnd()) {
-    return false;
-  }
-  out.FinalizeStoredBytes();
-  return true;
+  return r.ok() && r.AtEnd();
 }
 
 bool WriteDeltaFile(const std::string& path, const CompressedDelta& delta) {

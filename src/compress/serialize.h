@@ -20,8 +20,11 @@ namespace dz {
 // Encodes the artifact (including structure/metadata) into a self-describing buffer.
 ByteBuffer EncodeDelta(const CompressedDelta& delta);
 
-// Decodes a buffer produced by EncodeDelta. Check-fails on malformed input with a
-// wrong magic/version; returns false on truncated payloads.
+// Decodes a buffer produced by EncodeDelta. Returns false on a wrong magic or
+// version, a truncated payload, trailing bytes, or layer fields that do not
+// describe valid storage (zero group size, unsupported bit width, non-positive
+// rows, columns not a multiple of 4 for 2:4 layers, array lengths that do not
+// match the dimensions).
 bool DecodeDelta(const ByteBuffer& buffer, CompressedDelta& out);
 
 // File helpers (binary). Return false on I/O failure.

@@ -6,7 +6,10 @@
 namespace dz {
 
 DeltaZipService::DeltaZipService(Transformer base, const DeltaZipOptions& options)
-    : base_(std::move(base)), options_(options) {}
+    : base_(std::move(base)),
+      options_(options),
+      base_panels_(LinearPanels::Pack(base_.weights())),
+      base_overlay_(base_panels_.MakeOverlay()) {}
 
 int DeltaZipService::RegisterFmtModel(const ModelWeights& finetuned,
                                       const std::vector<std::vector<int>>& calibration,
@@ -27,26 +30,10 @@ int DeltaZipService::RegisterCompressedDelta(CompressedDelta delta,
   v.info.name = name.empty() ? "fmt-variant-" + std::to_string(id) : name;
   v.info.is_lora = false;
   v.delta = std::make_unique<CompressedDelta>(std::move(delta));
-  v.info.artifact_bytes = v.delta->StoredByteSize();
-  v.info.compression_ratio = static_cast<double>(base_.weights().Fp16ByteSize()) /
-                             static_cast<double>(v.info.artifact_bytes);
-
-  // Host model: fp16 non-linear deltas applied, linear weights kept at base so the
-  // overlay's decoupled base+Δ path supplies the fine-tuned behaviour.
-  ModelWeights host = v.delta->ApplyTo(base_.weights());
-  for (auto& layer : host.LinearLayers()) {
-    for (const auto& base_layer : base_.weights().LinearLayers()) {
-      if (base_layer.name == layer.name) {
-        *layer.weight = *base_layer.weight;
-        break;
-      }
-    }
-  }
-  v.host = std::make_unique<Transformer>(std::move(host));
-  v.overlay = v.delta->MakeOverlay(v.host->weights());
-  DZ_LOG(kInfo) << "registered " << v.info.name << ": artifact "
-                << v.info.artifact_bytes << " B, ratio "
-                << v.info.compression_ratio << "x";
+  v.host = std::make_unique<Transformer>(v.delta->HostWeights(base_.weights()));
+  v.overlay = v.delta->MakeOverlay(base_panels_);
+  DZ_LOG(kInfo) << "registered " << v.info.name << ": " << v.delta->layers.size()
+                << " compressed layers, " << v.delta->PackedByteSize() << " B packed";
   variants_.push_back(std::move(v));
   return id;
 }
@@ -67,7 +54,21 @@ int DeltaZipService::RegisterLora(LoraAdapter adapter, const std::string& name) 
 VariantInfo DeltaZipService::variant_info(int id) const {
   DZ_CHECK_GE(id, 0);
   DZ_CHECK_LT(id, variant_count());
-  return variants_[static_cast<size_t>(id)].info;
+  const Variant& v = variants_[static_cast<size_t>(id)];
+  VariantInfo info = v.info;
+  if (!info.is_lora) {
+    info.artifact_bytes = v.delta->StoredByteSize();
+    info.compression_ratio = static_cast<double>(base_.weights().Fp16ByteSize()) /
+                             static_cast<double>(info.artifact_bytes);
+  }
+  return info;
+}
+
+const Transformer& DeltaZipService::host(int id) const {
+  DZ_CHECK_GE(id, 0);
+  DZ_CHECK_LT(id, variant_count());
+  const Variant& v = variants_[static_cast<size_t>(id)];
+  return v.info.is_lora ? base_ : *v.host;
 }
 
 const CompressedDelta& DeltaZipService::delta(int id) const {
@@ -80,22 +81,19 @@ const CompressedDelta& DeltaZipService::delta(int id) const {
 std::vector<int> DeltaZipService::Generate(int variant_id, const std::vector<int>& prompt,
                                            int max_new, int eos_token) const {
   if (variant_id < 0) {
-    return base_.GenerateGreedy(prompt, max_new, eos_token);
+    return base_.GenerateGreedy(prompt, max_new, eos_token, &base_overlay_);
   }
-  DZ_CHECK_LT(variant_id, variant_count());
-  const Variant& v = variants_[static_cast<size_t>(variant_id)];
-  const Transformer& host = v.info.is_lora ? base_ : *v.host;
-  return host.GenerateGreedy(prompt, max_new, eos_token, &v.overlay);
+  const Transformer& model = host(variant_id);
+  const LinearOverlay& overlay = variants_[static_cast<size_t>(variant_id)].overlay;
+  return model.GenerateGreedy(prompt, max_new, eos_token, &overlay);
 }
 
 Matrix DeltaZipService::Forward(int variant_id, const std::vector<int>& tokens) const {
   if (variant_id < 0) {
-    return base_.Forward(tokens);
+    return base_.Forward(tokens, nullptr, &base_overlay_);
   }
-  DZ_CHECK_LT(variant_id, variant_count());
-  const Variant& v = variants_[static_cast<size_t>(variant_id)];
-  const Transformer& host = v.info.is_lora ? base_ : *v.host;
-  return host.Forward(tokens, nullptr, &v.overlay);
+  const Transformer& model = host(variant_id);
+  return model.Forward(tokens, nullptr, &variants_[static_cast<size_t>(variant_id)].overlay);
 }
 
 ServeReport DeltaZipService::SimulateServing(const Trace& trace,

@@ -5,7 +5,10 @@
 //     (the Delta Compressor + Model Manager halves of Fig. 4), and
 //   * LoRA adapters, stored as-is.
 // Inference requests against a variant run the decoupled computation
-// (base GEMM + compressed-delta / adapter path) through a LinearOverlay, and the
+// (base GEMM + compressed-delta / adapter path) through a LinearOverlay. The base
+// linear weights are laid out once as 16-row panels (LinearPanels) that the base
+// model and every FMT variant share; a variant keeps only its artifact and its
+// fp16 non-linear parameters, never a copy of the base linear weights. The
 // serving-performance side is exposed through SimulateServing(), which runs a trace
 // against the iteration-level engine in simulated time.
 //
@@ -60,10 +63,17 @@ class DeltaZipService {
   int RegisterCompressedDelta(CompressedDelta delta, const std::string& name = "");
 
   int variant_count() const { return static_cast<int>(variants_.size()); }
+  // For an FMT variant the first call measures the artifact's stored size
+  // (CompressedDelta::StoredByteSize), which registration does not.
   VariantInfo variant_info(int id) const;
   const CompressedDelta& delta(int id) const;
 
   const Transformer& base() const { return base_; }
+
+  // The model a variant runs on: for FMT variants the base's non-linear
+  // parameters with the fp16 deltas applied and empty linear layers (the
+  // overlay supplies base + Δ̃ from the shared panels); for LoRA the base.
+  const Transformer& host(int id) const;
 
   // Greedy generation against a variant (id < 0 → the base model itself), executing
   // the decoupled base+delta (or base+adapter) computation.
@@ -82,13 +92,15 @@ class DeltaZipService {
     std::unique_ptr<CompressedDelta> delta;
     std::unique_ptr<LoraAdapter> lora;
     LinearOverlay overlay;
-    // FMT variants need the fp16 non-linear deltas applied; we keep a host model with
-    // merged embeddings/norms but *base* linear weights, so the overlay supplies Δ.
+    // FMT variants need the fp16 non-linear deltas applied: a host model with
+    // merged embeddings/norms and no linear weights (CompressedDelta::HostWeights).
     std::unique_ptr<Transformer> host;
   };
 
   Transformer base_;
   DeltaZipOptions options_;
+  LinearPanels base_panels_;     // packed once, shared by every overlay below
+  LinearOverlay base_overlay_;   // the base model itself (variant id < 0)
   std::vector<Variant> variants_;
 };
 

@@ -151,8 +151,31 @@ void ModelWeights::Scale(float s) {
   }
 }
 
+LinearPanels LinearPanels::Pack(const ModelWeights& w) {
+  LinearPanels out;
+  for (const auto& layer : w.LinearLayers()) {
+    out.by_name.emplace(layer.name, PanelMatrix::Pack(*layer.weight));
+  }
+  return out;
+}
+
+LinearOverlay LinearPanels::MakeOverlay() const {
+  LinearOverlay overlay;
+  for (const auto& [name, panels] : by_name) {
+    const PanelMatrix* w = &panels;
+    overlay.ops[name] = [w](const Matrix& x) { return kernels::PanelGemmNT(x, *w); };
+  }
+  return overlay;
+}
+
 Transformer::Transformer(ModelWeights weights) : weights_(std::move(weights)) {
   weights_.config.Validate();
+  for (int li = 0; li < weights_.config.n_layers; ++li) {
+    names_.push_back({LinearLayerName(li, "wq"), LinearLayerName(li, "wk"),
+                      LinearLayerName(li, "wv"), LinearLayerName(li, "wo"),
+                      LinearLayerName(li, "w_gate"), LinearLayerName(li, "w_up"),
+                      LinearLayerName(li, "w_down")});
+  }
 }
 
 Matrix Transformer::ApplyLinear(const std::string& name, const Matrix& w, const Matrix& x,
@@ -189,19 +212,20 @@ Matrix Transformer::Forward(const std::vector<int>& tokens, ForwardCache* cache,
 
   for (int li = 0; li < cfg.n_layers; ++li) {
     const LayerWeights& lw = weights_.layers[static_cast<size_t>(li)];
+    const BlockNames& names = names_[static_cast<size_t>(li)];
     ForwardCache::Layer* lc = cache != nullptr ? &cache->layers[static_cast<size_t>(li)]
                                                : nullptr;
     // Attention block (pre-norm).
     std::vector<float> inv_rms;
     const Matrix normed = RmsNormForward(x, lw.attn_norm, cfg.norm_eps, inv_rms);
-    Matrix q = ApplyLinear(LinearLayerName(li, "wq"), lw.wq, normed, overlay);
-    Matrix k = ApplyLinear(LinearLayerName(li, "wk"), lw.wk, normed, overlay);
-    const Matrix v = ApplyLinear(LinearLayerName(li, "wv"), lw.wv, normed, overlay);
+    Matrix q = ApplyLinear(names.wq, lw.wq, normed, overlay);
+    Matrix k = ApplyLinear(names.wk, lw.wk, normed, overlay);
+    const Matrix v = ApplyLinear(names.wv, lw.wv, normed, overlay);
     RopeApply(q, cfg.n_heads, cfg.rope_theta, 0);
     RopeApply(k, cfg.n_heads, cfg.rope_theta, 0);
     std::vector<Matrix> probs;
     const Matrix attn = AttentionForward(q, k, v, cfg.n_heads, probs);
-    const Matrix o = ApplyLinear(LinearLayerName(li, "wo"), lw.wo, attn, overlay);
+    const Matrix o = ApplyLinear(names.wo, lw.wo, attn, overlay);
     if (lc != nullptr) {
       lc->attn_in = x;
       lc->attn_inv_rms = inv_rms;
@@ -218,11 +242,11 @@ Matrix Transformer::Forward(const std::vector<int>& tokens, ForwardCache* cache,
     std::vector<float> mlp_inv_rms;
     const Matrix mlp_normed = RmsNormForward(x, lw.mlp_norm, cfg.norm_eps, mlp_inv_rms);
     const Matrix gate =
-        ApplyLinear(LinearLayerName(li, "w_gate"), lw.w_gate, mlp_normed, overlay);
+        ApplyLinear(names.w_gate, lw.w_gate, mlp_normed, overlay);
     const Matrix up =
-        ApplyLinear(LinearLayerName(li, "w_up"), lw.w_up, mlp_normed, overlay);
+        ApplyLinear(names.w_up, lw.w_up, mlp_normed, overlay);
     const Matrix h = SwiGluForward(gate, up);
-    const Matrix down = ApplyLinear(LinearLayerName(li, "w_down"), lw.w_down, h, overlay);
+    const Matrix down = ApplyLinear(names.w_down, lw.w_down, h, overlay);
     if (lc != nullptr) {
       lc->mlp_in = x;
       lc->mlp_inv_rms = mlp_inv_rms;
@@ -342,28 +366,29 @@ Matrix Transformer::DecodeStep(int token, KVCache& kv,
 
   for (int li = 0; li < cfg.n_layers; ++li) {
     const LayerWeights& lw = weights_.layers[static_cast<size_t>(li)];
+    const BlockNames& names = names_[static_cast<size_t>(li)];
     std::vector<float> inv_rms;
     const Matrix normed = RmsNormForward(x, lw.attn_norm, cfg.norm_eps, inv_rms);
-    Matrix q = ApplyLinear(LinearLayerName(li, "wq"), lw.wq, normed, overlay);
-    Matrix k = ApplyLinear(LinearLayerName(li, "wk"), lw.wk, normed, overlay);
-    const Matrix v = ApplyLinear(LinearLayerName(li, "wv"), lw.wv, normed, overlay);
+    Matrix q = ApplyLinear(names.wq, lw.wq, normed, overlay);
+    Matrix k = ApplyLinear(names.wk, lw.wk, normed, overlay);
+    const Matrix v = ApplyLinear(names.wv, lw.wv, normed, overlay);
     RopeApply(q, cfg.n_heads, cfg.rope_theta, pos);
     RopeApply(k, cfg.n_heads, cfg.rope_theta, pos);
     AppendRow(kv.k[static_cast<size_t>(li)], k, cfg.d_model);
     AppendRow(kv.v[static_cast<size_t>(li)], v, cfg.d_model);
     const Matrix attn = AttentionDecodeStep(q, kv.k[static_cast<size_t>(li)],
                                             kv.v[static_cast<size_t>(li)], cfg.n_heads);
-    const Matrix o = ApplyLinear(LinearLayerName(li, "wo"), lw.wo, attn, overlay);
+    const Matrix o = ApplyLinear(names.wo, lw.wo, attn, overlay);
     x.AddInPlace(o);
 
     std::vector<float> mlp_inv_rms;
     const Matrix mlp_normed = RmsNormForward(x, lw.mlp_norm, cfg.norm_eps, mlp_inv_rms);
     const Matrix gate =
-        ApplyLinear(LinearLayerName(li, "w_gate"), lw.w_gate, mlp_normed, overlay);
+        ApplyLinear(names.w_gate, lw.w_gate, mlp_normed, overlay);
     const Matrix up =
-        ApplyLinear(LinearLayerName(li, "w_up"), lw.w_up, mlp_normed, overlay);
+        ApplyLinear(names.w_up, lw.w_up, mlp_normed, overlay);
     const Matrix h = SwiGluForward(gate, up);
-    const Matrix down = ApplyLinear(LinearLayerName(li, "w_down"), lw.w_down, h, overlay);
+    const Matrix down = ApplyLinear(names.w_down, lw.w_down, h, overlay);
     x.AddInPlace(down);
   }
   ++kv.len;

@@ -18,6 +18,7 @@
 
 #include "src/nn/config.h"
 #include "src/tensor/matrix.h"
+#include "src/tensor/panel_matrix.h"
 #include "src/util/rng.h"
 
 namespace dz {
@@ -72,6 +73,19 @@ struct LinearOverlay {
   std::unordered_map<std::string, std::function<Matrix(const Matrix&)>> ops;
 
   bool Has(const std::string& name) const { return ops.count(name) > 0; }
+};
+
+// A model's linear weights laid out once as 16-row panels (PanelMatrix), keyed
+// like LinearLayers(): the form the decode-step kernels read. One instance is
+// shared by every overlay built on it and must outlive them.
+struct LinearPanels {
+  std::unordered_map<std::string, PanelMatrix> by_name;
+
+  static LinearPanels Pack(const ModelWeights& w);
+
+  // Routes every linear layer through kernels::PanelGemmNT over its panels —
+  // bit-identical to the plain MatmulNT path.
+  LinearOverlay MakeOverlay() const;
 };
 
 // Per-layer KV cache for incremental decoding.
@@ -137,7 +151,14 @@ class Transformer {
   Matrix ApplyLinear(const std::string& name, const Matrix& w, const Matrix& x,
                      const LinearOverlay* overlay) const;
 
+  // LinearLayerName() of each block's seven layers, built once: the overlay
+  // keys every Forward and DecodeStep looks up.
+  struct BlockNames {
+    std::string wq, wk, wv, wo, w_gate, w_up, w_down;
+  };
+
   ModelWeights weights_;
+  std::vector<BlockNames> names_;
 };
 
 // Canonical layer names: "layer{i}.wq" ... "layer{i}.w_down".

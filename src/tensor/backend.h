@@ -32,6 +32,7 @@ namespace dz {
 
 class Matrix;
 class PackedQuantMatrix;
+class PanelMatrix;
 class Sparse24Matrix;
 
 namespace kernels {
@@ -39,7 +40,7 @@ namespace kernels {
 // Bumped whenever a pointer is added/removed/retyped; the dispatcher refuses a
 // table whose version does not match, so a stale out-of-tree backend can never
 // be entered through a misshapen struct.
-inline constexpr int kBackendAbiVersion = 1;
+inline constexpr int kBackendAbiVersion = 2;
 
 // One ISA's kernel implementations as a flat dispatch table. Instances are
 // immutable statics owned by their translation unit; callers hold `const
@@ -58,6 +59,9 @@ struct Backend {
   // Compressed-format GEMMs.
   Matrix (*quant_gemm_nt)(const Matrix&, const PackedQuantMatrix&);
   Matrix (*sparse24_gemm_nt)(const Matrix&, const Sparse24Matrix&);
+  // Linear layer over prepacked panels, plus a 2:4 delta when non-null.
+  Matrix (*panel_gemm_nt)(const Matrix&, const PanelMatrix&,
+                          const Sparse24Matrix*);
 
   Matrix (*transpose)(const Matrix&);
 

@@ -26,6 +26,7 @@
 #include "src/tensor/backend.h"
 #include "src/tensor/matrix.h"
 #include "src/tensor/packed_quant.h"
+#include "src/tensor/panel_matrix.h"
 #include "src/tensor/sparse24.h"
 
 namespace dz {
@@ -100,11 +101,24 @@ inline Matrix QuantGemmNT(const Matrix& x, const PackedQuantMatrix& w) {
   return ActiveBackend().quant_gemm_nt(x, w);
 }
 
-// Blocked gather GEMM over the 2:4 stored slots with per-block precomputed
-// column indices. Bit-identical to the historical row-at-a-time kernel (which
-// walks kept slots in storage order).
+// 2:4 sparse GEMM. Batches of at least the backend's kSparseRows activation
+// rows take a blocked gather over the stored slots with per-block precomputed
+// columns; smaller ones (decode steps) sweep the matrix's 16-row panels, one
+// lane per output column. Bit-identical to the historical row-at-a-time
+// kernel (which walks kept slots in storage order).
 inline Matrix Sparse24GemmNT(const Matrix& x, const Sparse24Matrix& w) {
   return ActiveBackend().sparse24_gemm_nt(x, w);
+}
+
+// The decoupled linear layer y = x·Wᵀ + x·Δ̃ᵀ over weights laid out once: W as
+// a PanelMatrix and, when `delta` is non-null, Δ̃ as a 2:4 matrix of the same
+// shape. Bit-identical to GemmNT(x, W) followed by AddInPlace of
+// Sparse24GemmNT(x, *delta): below kSparseRows activation rows both chains of
+// an output run side by side over the same 16-row panel, each an ascending-k
+// mul-then-add fold from zero, and their sum is stored once.
+inline Matrix PanelGemmNT(const Matrix& x, const PanelMatrix& w,
+                          const Sparse24Matrix* delta = nullptr) {
+  return ActiveBackend().panel_gemm_nt(x, w, delta);
 }
 
 // Blocked (32x32 tile) transpose.

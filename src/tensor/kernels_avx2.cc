@@ -23,7 +23,6 @@ struct Avx2Ops {
   static constexpr int kWidth = 8;
   static constexpr size_t kQuantJr = 8;
   static constexpr size_t kSparseRows = 8;
-  static constexpr size_t kSparseCols = 8;
 
   // 4x16 NT micro-kernel: 8 ymm accumulators, one per (row, 8-col half); each
   // output column is a single lane accumulating a0[p]*b[p] in ascending p.
@@ -291,20 +290,114 @@ struct Avx2Ops {
     _mm256_storeu_ps(acc, accv);
   }
 
-  // Column-path inner loop: 8 weight-row chains (lanes) over one activation
-  // row; per kept slot, gather x at the 8 rows' column indices and multiply by
-  // their interleaved dequantized values.
-  static void SparseInnerT(const float* xrow, const int* colsT,
-                           const float* valsT, size_t len, float* acc) {
-    __m256 accv = _mm256_loadu_ps(acc);
-    for (size_t s = 0; s < len; ++s) {
-      const __m256i idx = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(colsT + s * kSparseCols));
-      const __m256 xv = _mm256_i32gather_ps(xrow, idx, 4);
-      accv = _mm256_add_ps(
-          accv, _mm256_mul_ps(xv, _mm256_loadu_ps(valsT + s * kSparseCols)));
+  // 16 output-column chains (two ymm halves) over a 2:4 panel. A code word
+  // vector holds 32 / kBits consecutive slots of 8 rows, an index word vector
+  // 16 slots' positions: each slot is an immediate shift and a mask. The x
+  // value at position pos of the slot's 4-column group comes from a broadcast
+  // of that group and an in-lane permute (low 2 bits select) — no gather.
+  // With kWithBase, the base chain over the dense panel `base` advances by
+  // the same 4 columns at the first slot of each group, so the two
+  // independent chains overlap.
+  template <int kBits, bool kWithBase>
+  static void PanelChains(const float* x, const float* base,
+                          const Sparse24Matrix::Panel& p, float* out) {
+    constexpr int kPerWord = 32 / kBits;
+    const __m256i mask = _mm256_set1_epi32((1 << kBits) - 1);
+    const __m256i three = _mm256_set1_epi32(3);
+    const uint32_t* codes = p.codes;
+    const uint32_t* indices = p.indices;
+    const int32_t* zeros = p.zeros;
+    const float* scales = p.scales;
+    const auto load_i = [](const void* ptr) {
+      return _mm256_loadu_si256(static_cast<const __m256i*>(ptr));
+    };
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    __m256 base0 = _mm256_setzero_ps();
+    __m256 base1 = _mm256_setzero_ps();
+    __m256i zero0 = load_i(zeros);
+    __m256i zero1 = load_i(zeros + 8);
+    __m256 scale0 = _mm256_loadu_ps(scales);
+    __m256 scale1 = _mm256_loadu_ps(scales + 8);
+    __m256i iw0 = _mm256_setzero_si256();
+    __m256i iw1 = _mm256_setzero_si256();
+    int group_left = p.group_size;
+    for (int kk = 0; kk < p.kept;) {
+      __m256i cw0 = load_i(codes);
+      __m256i cw1 = load_i(codes + 8);
+      codes += kPanelRows;
+      for (int s = 0; s < kPerWord && kk < p.kept; ++s, ++kk) {
+        if (group_left == 0) {
+          zeros += kPanelRows;
+          scales += kPanelRows;
+          zero0 = load_i(zeros);
+          zero1 = load_i(zeros + 8);
+          scale0 = _mm256_loadu_ps(scales);
+          scale1 = _mm256_loadu_ps(scales + 8);
+          group_left = p.group_size;
+        }
+        --group_left;
+        if ((kk & 15) == 0) {
+          iw0 = load_i(indices);
+          iw1 = load_i(indices + 8);
+          indices += kPanelRows;
+        }
+        const float* xg = x + (kk >> 1) * 4;
+        if (kWithBase && (kk & 1) == 0) {
+          const float* bg = base + static_cast<size_t>(kk >> 1) * 4 * kPanelRows;
+          for (int c = 0; c < 4; ++c) {
+            const __m256 xc = _mm256_set1_ps(xg[c]);
+            base0 = _mm256_add_ps(
+                base0, _mm256_mul_ps(xc, _mm256_loadu_ps(bg + c * kPanelRows)));
+            base1 = _mm256_add_ps(
+                base1, _mm256_mul_ps(xc, _mm256_loadu_ps(bg + c * kPanelRows + 8)));
+          }
+        }
+        const __m256i q0 = _mm256_and_si256(cw0, mask);
+        const __m256i q1 = _mm256_and_si256(cw1, mask);
+        cw0 = _mm256_srli_epi32(cw0, kBits);
+        cw1 = _mm256_srli_epi32(cw1, kBits);
+        const __m256i pos0 = _mm256_and_si256(iw0, three);
+        const __m256i pos1 = _mm256_and_si256(iw1, three);
+        iw0 = _mm256_srli_epi32(iw0, 2);
+        iw1 = _mm256_srli_epi32(iw1, 2);
+        const __m256 xb = _mm256_broadcast_ps(reinterpret_cast<const __m128*>(xg));
+        const __m256 v0 = _mm256_mul_ps(
+            _mm256_cvtepi32_ps(_mm256_sub_epi32(q0, zero0)), scale0);
+        const __m256 v1 = _mm256_mul_ps(
+            _mm256_cvtepi32_ps(_mm256_sub_epi32(q1, zero1)), scale1);
+        acc0 = _mm256_add_ps(acc0,
+                             _mm256_mul_ps(_mm256_permutevar_ps(xb, pos0), v0));
+        acc1 = _mm256_add_ps(acc1,
+                             _mm256_mul_ps(_mm256_permutevar_ps(xb, pos1), v1));
+      }
     }
-    _mm256_storeu_ps(acc, accv);
+    _mm256_storeu_ps(out, kWithBase ? _mm256_add_ps(base0, acc0) : acc0);
+    _mm256_storeu_ps(out + 8, kWithBase ? _mm256_add_ps(base1, acc1) : acc1);
+  }
+
+  template <bool kWithBase>
+  static void Panel(const float* x, const float* base,
+                    const Sparse24Matrix::Panel& p, float* out) {
+    if (p.kept == 0) {
+      std::fill(out, out + kPanelRows, 0.0f);
+    } else if (p.bits == 2) {
+      PanelChains<2, kWithBase>(x, base, p, out);
+    } else if (p.bits == 4) {
+      PanelChains<4, kWithBase>(x, base, p, out);
+    } else {
+      PanelChains<8, kWithBase>(x, base, p, out);
+    }
+  }
+
+  static void SparsePanel(const float* x, const Sparse24Matrix::Panel& p,
+                          float* out) {
+    Panel<false>(x, nullptr, p, out);
+  }
+
+  static void FusedPanel(const float* x, const float* base,
+                         const Sparse24Matrix::Panel& p, float* out) {
+    Panel<true>(x, base, p, out);
   }
 
   static size_t MatchLen(const uint8_t* a, const uint8_t* b, size_t max) {

@@ -21,7 +21,6 @@ struct Avx512Ops {
   static constexpr int kWidth = 16;
   static constexpr size_t kQuantJr = 16;
   static constexpr size_t kSparseRows = 16;
-  static constexpr size_t kSparseCols = 16;
 
   // 4x16 NT micro-kernel: one zmm accumulator per output row.
   static void NTMicro4(const float* arow0, const float* arow1,
@@ -251,21 +250,93 @@ struct Avx512Ops {
     _mm512_storeu_ps(acc, accv);
   }
 
-  // Column-path inner loop: 16 weight-row chains (lanes) over one activation
-  // row; per kept slot, gather x at the 16 rows' column indices and multiply
-  // by their interleaved dequantized values.
-  static void SparseInnerT(const float* xrow, const int* colsT,
-                           const float* valsT, size_t len, float* acc) {
-    __m512 accv = _mm512_loadu_ps(acc);
-    for (size_t s = 0; s < len; ++s) {
-      const __m512i idx = _mm512_loadu_si512(colsT + s * kSparseCols);
-      const __m512 xv = _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
-                                                 static_cast<__mmask16>(0xFFFF),
-                                                 idx, xrow, 4);
-      accv = _mm512_add_ps(
-          accv, _mm512_mul_ps(xv, _mm512_loadu_ps(valsT + s * kSparseCols)));
+  // 16 output-column chains (one zmm) over a 2:4 panel. A code word vector
+  // holds 32 / kBits consecutive slots of all 16 rows, an index word vector 16
+  // slots' positions: each slot is an immediate shift and a mask. The x value
+  // at position pos of the slot's 4-column group comes from a broadcast of
+  // that group and a lane permute — no gather. With kWithBase, the base chain
+  // over the dense panel `base` advances by the same 4 columns at the first
+  // slot of each group, so the two independent chains overlap. The full-mask
+  // maskz forms compute the same as the plain intrinsics, whose undefined
+  // merge source GCC flags with -Wmaybe-uninitialized.
+  template <int kBits, bool kWithBase>
+  static void PanelChains(const float* x, const float* base,
+                          const Sparse24Matrix::Panel& p, float* out) {
+    constexpr int kPerWord = 32 / kBits;
+    constexpr __mmask16 kAll = 0xFFFF;
+    const __m512i mask = _mm512_set1_epi32((1 << kBits) - 1);
+    const __m512i three = _mm512_set1_epi32(3);
+    const uint32_t* codes = p.codes;
+    const uint32_t* indices = p.indices;
+    const int32_t* zeros = p.zeros;
+    const float* scales = p.scales;
+    __m512 acc = _mm512_setzero_ps();
+    __m512 base_acc = _mm512_setzero_ps();
+    __m512i zero = _mm512_loadu_si512(zeros);
+    __m512 scale = _mm512_loadu_ps(scales);
+    __m512i iw = _mm512_setzero_si512();
+    int group_left = p.group_size;
+    for (int kk = 0; kk < p.kept;) {
+      __m512i cw = _mm512_loadu_si512(codes);
+      codes += kPanelRows;
+      for (int s = 0; s < kPerWord && kk < p.kept; ++s, ++kk) {
+        if (group_left == 0) {
+          zeros += kPanelRows;
+          scales += kPanelRows;
+          zero = _mm512_loadu_si512(zeros);
+          scale = _mm512_loadu_ps(scales);
+          group_left = p.group_size;
+        }
+        --group_left;
+        if ((kk & 15) == 0) {
+          iw = _mm512_loadu_si512(indices);
+          indices += kPanelRows;
+        }
+        const float* xg = x + (kk >> 1) * 4;
+        if (kWithBase && (kk & 1) == 0) {
+          const float* bg = base + static_cast<size_t>(kk >> 1) * 4 * kPanelRows;
+          for (int c = 0; c < 4; ++c) {
+            base_acc = _mm512_add_ps(
+                base_acc, _mm512_mul_ps(_mm512_set1_ps(xg[c]),
+                                        _mm512_loadu_ps(bg + c * kPanelRows)));
+          }
+        }
+        const __m512i q = _mm512_and_si512(cw, mask);
+        cw = _mm512_maskz_srli_epi32(kAll, cw, kBits);
+        const __m512i pos = _mm512_and_si512(iw, three);
+        iw = _mm512_maskz_srli_epi32(kAll, iw, 2);
+        const __m512 xv = _mm512_maskz_permutexvar_ps(
+            kAll, pos, _mm512_maskz_broadcast_f32x4(kAll, _mm_loadu_ps(xg)));
+        const __m512 v = _mm512_mul_ps(
+            _mm512_maskz_cvtepi32_ps(kAll, _mm512_sub_epi32(q, zero)), scale);
+        acc = _mm512_add_ps(acc, _mm512_mul_ps(xv, v));
+      }
     }
-    _mm512_storeu_ps(acc, accv);
+    _mm512_storeu_ps(out, kWithBase ? _mm512_add_ps(base_acc, acc) : acc);
+  }
+
+  template <bool kWithBase>
+  static void Panel(const float* x, const float* base,
+                    const Sparse24Matrix::Panel& p, float* out) {
+    if (p.kept == 0) {
+      _mm512_storeu_ps(out, _mm512_setzero_ps());
+    } else if (p.bits == 2) {
+      PanelChains<2, kWithBase>(x, base, p, out);
+    } else if (p.bits == 4) {
+      PanelChains<4, kWithBase>(x, base, p, out);
+    } else {
+      PanelChains<8, kWithBase>(x, base, p, out);
+    }
+  }
+
+  static void SparsePanel(const float* x, const Sparse24Matrix::Panel& p,
+                          float* out) {
+    Panel<false>(x, nullptr, p, out);
+  }
+
+  static void FusedPanel(const float* x, const float* base,
+                         const Sparse24Matrix::Panel& p, float* out) {
+    Panel<true>(x, base, p, out);
   }
 
   // Byte helpers use 256-bit ops (implied AVX2): cmpeq+movemask needs AVX512BW

@@ -14,7 +14,6 @@
 //     static constexpr int kWidth;          // fp32 lanes per vector
 //     static constexpr size_t kQuantJr;     // quant panel interleave width
 //     static constexpr size_t kSparseRows;  // sparse rows chained per pass
-//     static constexpr size_t kSparseCols;  // sparse cols gathered per pass
 //     static void NTMicro4(a0,a1,a2,a3, panel, k, out);   // 4x16 NT micro
 //     static void NTMicro1(a, panel, k, out);             // 1x16 NT micro
 //     static void Axpy(v, x, y, n);                       // y[j] += v*x[j]
@@ -22,7 +21,8 @@
 //     static void Add/Sub(y, x, n); static void Scale(y, s, n);
 //     static void QuantInner(x, panel, len, acc);         // kQuantJr chains
 //     static void SparseInner(x0, stride, cols, vals, len, acc);
-//     static void SparseInnerT(xrow, colsT, valsT, len, acc);  // kSparseCols
+//     static void SparsePanel(x, panel, out);   // 16 lanes over a 2:4 panel
+//     static void FusedPanel(x, base, panel, out);  // dense + 2:4 panel lanes
 //     static size_t MatchLen(a, b, max);
 //     static void CopyMatch(dst, dist, len);
 //   };
@@ -42,6 +42,7 @@
 #include "src/tensor/backend.h"
 #include "src/tensor/matrix.h"
 #include "src/tensor/packed_quant.h"
+#include "src/tensor/panel_matrix.h"
 #include "src/tensor/sparse24.h"
 #include "src/util/check.h"
 #include "src/util/thread_pool.h"
@@ -62,6 +63,8 @@ constexpr size_t kTaskFlopTarget = 1u << 21;
 // tiles the same 4x16 block, so panel packing is identical across ISAs.
 constexpr size_t kMicroRows = 4;
 constexpr size_t kMicroCols = 16;
+static_assert(kMicroCols == kPanelRows,
+              "a PanelMatrix panel is one micro-kernel stripe");
 
 size_t GrainCols(size_t grain_rows, size_t k) {
   const size_t denom = std::max<size_t>(2 * k * grain_rows, 1);
@@ -416,6 +419,66 @@ Matrix QuantGemmNTImpl(const Matrix& x, const PackedQuantMatrix& w) {
 }
 
 // ---------------------------------------------------------------------------
+// Decode-step sweep over 16-row panels.
+// ---------------------------------------------------------------------------
+
+// y = x·Wᵀ (base) + x·Δ̃ᵀ (delta), either term optional, one 16-row panel of
+// output columns at a time. Per activation row the base chain (over the
+// prepacked dense panel) and the Δ̃ chain (over the 2:4 panel, whose codes and
+// positions decode with lane-uniform shifts) each fold their k-terms from zero
+// in ascending order, exactly like GemmNT and Sparse24GemmNT; FusedPanel runs
+// both and sums them once at the end, as AddInPlace would. Without a Δ̃ chain,
+// rows go four at a time through NTMicro4.
+template <typename Arch>
+void PanelSweep(const Matrix& x, const PanelMatrix* base,
+                const Sparse24Matrix* delta, Matrix& y) {
+  const size_t m = static_cast<size_t>(x.rows());
+  const size_t n = static_cast<size_t>(y.cols());
+  const int k = x.cols();
+  const size_t panels = static_cast<size_t>(PanelCount(y.cols()));
+  const auto body = [&](size_t p0, size_t p1, size_t, size_t) {
+    float out[kMicroRows * kMicroCols];
+    for (size_t p = p0; p < p1; ++p) {
+      const size_t j0 = p * kMicroCols;
+      const size_t width = std::min(kMicroCols, n - j0);
+      const int pi = static_cast<int>(p);
+      size_t i = 0;
+      if (delta == nullptr) {
+        for (; i + kMicroRows <= m; i += kMicroRows) {
+          Arch::NTMicro4(x.row(static_cast<int>(i)),
+                         x.row(static_cast<int>(i + 1)),
+                         x.row(static_cast<int>(i + 2)),
+                         x.row(static_cast<int>(i + 3)), base->panel(pi), k, out);
+          for (size_t t = 0; t < kMicroRows; ++t) {
+            std::copy(out + t * kMicroCols, out + t * kMicroCols + width,
+                      y.row(static_cast<int>(i + t)) + j0);
+          }
+        }
+      }
+      for (; i < m; ++i) {
+        const float* xrow = x.row(static_cast<int>(i));
+        if (base != nullptr && delta != nullptr) {
+          Arch::FusedPanel(xrow, base->panel(pi), delta->panel(pi), out);
+        } else if (base != nullptr) {
+          Arch::NTMicro1(xrow, base->panel(pi), k, out);
+        } else {
+          Arch::SparsePanel(xrow, delta->panel(pi), out);
+        }
+        std::copy(out, out + width, y.row(static_cast<int>(i)) + j0);
+      }
+    }
+  };
+  const size_t flops = m * n * static_cast<size_t>(k);
+  if (flops < kParallelFlopThreshold) {
+    body(0, panels, 0, 1);
+  } else {
+    const size_t grain = std::max<size_t>(
+        1, kTaskFlopTarget / std::max<size_t>(2 * m * k * kMicroCols, 1));
+    ThreadPool::Global().ParallelFor2D(panels, 1, grain, 1, body);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // 2:4 sparse gather GEMM.
 // ---------------------------------------------------------------------------
 
@@ -423,12 +486,17 @@ template <typename Arch>
 Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
   DZ_CHECK_EQ(x.cols(), w.cols());
   constexpr size_t R = Arch::kSparseRows;
-  constexpr size_t Jc = Arch::kSparseCols;
   const size_t m = static_cast<size_t>(x.rows());
   const size_t n = static_cast<size_t>(w.rows());
   const size_t kept = static_cast<size_t>(w.cols()) / 2;
   Matrix y(static_cast<int>(m), static_cast<int>(n));
   if (m == 0 || n == 0 || kept == 0) {
+    return y;
+  }
+  // Below R activation rows the row path degenerates to short scalar chains;
+  // sweep the panels instead, one lane per output column.
+  if (m < R) {
+    PanelSweep<Arch>(x, nullptr, &w, y);
     return y;
   }
   const size_t xstride = static_cast<size_t>(x.cols());
@@ -442,11 +510,10 @@ Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
   constexpr size_t kBlock = 256;  // kept slots decoded per pass
 
   // Decodes kept-slot block [k0, k1) of weight row j into gather columns and
-  // dequantized values, `stride` floats apart (1 for the row path, kSparseCols
-  // for the column path's interleaved panel). Scalar on every backend, so the
-  // dequant affine rounds identically everywhere.
-  const auto decode_block = [&](size_t j, size_t k0, size_t k1, size_t stride,
-                                int* cols_out, float* vals_out) {
+  // dequantized values. Scalar on every backend, so the dequant affine rounds
+  // identically everywhere.
+  const auto decode_block = [&](size_t j, size_t k0, size_t k1, int* cols_out,
+                                float* vals_out) {
     const uint32_t* vwords = w.packed_values().data() + j * words_per_row;
     const uint32_t* iwords = w.packed_indices().data() + j * index_words_per_row;
     const float* scales = w.scales().data() + j * groups_per_row;
@@ -454,53 +521,23 @@ Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
     for (size_t kk = k0; kk < k1; ++kk) {
       const uint32_t iword = iwords[kk / 16];
       const int in_group = static_cast<int>((iword >> ((kk % 16) * 2)) & 0x3u);
-      cols_out[(kk - k0) * stride] = static_cast<int>((kk / 2) * 4) + in_group;
+      cols_out[kk - k0] = static_cast<int>((kk / 2) * 4) + in_group;
       const uint32_t vword = vwords[kk / codes_per_word];
       const int q =
           static_cast<int>((vword >> ((kk % codes_per_word) * bits)) & mask);
       const size_t gi = kk / group_size;
-      vals_out[(kk - k0) * stride] =
+      vals_out[kk - k0] =
           static_cast<float>(q - static_cast<int>(zeros[gi])) * scales[gi];
     }
   };
 
-  // When m < R the row path degenerates to scalar chains, so flip the
-  // vectorization axis: process kSparseCols weight rows per pass, one
-  // accumulator lane per output column, x values fetched by vector gather.
-  // 2:4 sparsity gives every weight row exactly kept slots, so the slot loop
-  // is uniform across lanes and each lane's chain stays ascending-k.
-  const bool column_path = Jc > 1 && m < R;
-
   const auto body = [&](size_t j0, size_t j1, size_t, size_t) {
-    std::vector<int> cols(kBlock * (column_path ? Jc : 1));
-    std::vector<float> vals(kBlock * (column_path ? Jc : 1));
-    size_t j = j0;
-    if (column_path) {
-      for (; j + Jc <= j1; j += Jc) {
-        for (size_t k0 = 0; k0 < kept; k0 += kBlock) {
-          const size_t k1 = std::min(kept, k0 + kBlock);
-          const size_t len = k1 - k0;
-          for (size_t t = 0; t < Jc; ++t) {
-            decode_block(j + t, k0, k1, Jc, cols.data() + t, vals.data() + t);
-          }
-          for (size_t i = 0; i < m; ++i) {
-            float acc[Jc];
-            for (size_t t = 0; t < Jc; ++t) {
-              acc[t] = y.at(static_cast<int>(i), static_cast<int>(j + t));
-            }
-            Arch::SparseInnerT(x.row(static_cast<int>(i)), cols.data(),
-                               vals.data(), len, acc);
-            for (size_t t = 0; t < Jc; ++t) {
-              y.at(static_cast<int>(i), static_cast<int>(j + t)) = acc[t];
-            }
-          }
-        }
-      }
-    }
-    for (; j < j1; ++j) {
+    std::vector<int> cols(kBlock);
+    std::vector<float> vals(kBlock);
+    for (size_t j = j0; j < j1; ++j) {
       for (size_t k0 = 0; k0 < kept; k0 += kBlock) {
         const size_t k1 = std::min(kept, k0 + kBlock);
-        decode_block(j, k0, k1, 1, cols.data(), vals.data());
+        decode_block(j, k0, k1, cols.data(), vals.data());
         const size_t len = k1 - k0;
         // R activation rows at a time: R independent chains share one pass
         // over cols/vals (gathered in the vector backends), each chain still
@@ -519,7 +556,7 @@ Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
         }
         // Sub-R tail in interleaved groups of 4: four independent chains share
         // one pass over cols/vals (each still ascending kept-slot order), so a
-        // wide backend's m < R case is never slower than the scalar backend.
+        // wide backend's tail is never slower than the scalar backend.
         for (; i + 4 <= m; i += 4) {
           const float* x0 = x.row(static_cast<int>(i));
           const float* x1 = x0 + xstride;
@@ -557,12 +594,32 @@ Matrix Sparse24GemmNTImpl(const Matrix& x, const Sparse24Matrix& w) {
   if (flops < kParallelFlopThreshold) {
     body(0, n, 0, 1);
   } else {
-    size_t grain = std::max<size_t>(
+    const size_t grain = std::max<size_t>(
         16, kTaskFlopTarget / std::max<size_t>(2 * m * kept, 1));
-    if (column_path) {
-      grain = (grain + Jc - 1) / Jc * Jc;  // keep partitions lane-aligned
-    }
     ThreadPool::Global().ParallelFor2D(n, 1, grain, 1, body);
+  }
+  return y;
+}
+
+// Base over its panels; a 2:4 Δ̃ joins the same sweep below R activation rows
+// and is otherwise added from the gather GEMM, as AddInPlace would.
+template <typename Arch>
+Matrix PanelGemmNTImpl(const Matrix& x, const PanelMatrix& w,
+                       const Sparse24Matrix* delta) {
+  DZ_CHECK_EQ(x.cols(), w.cols());
+  if (delta != nullptr) {
+    DZ_CHECK_EQ(delta->rows(), w.rows());
+    DZ_CHECK_EQ(delta->cols(), w.cols());
+  }
+  Matrix y(x.rows(), w.rows());
+  if (y.size() == 0) {
+    return y;
+  }
+  const bool fused = delta != nullptr && static_cast<size_t>(x.rows()) < Arch::kSparseRows;
+  PanelSweep<Arch>(x, &w, fused ? delta : nullptr, y);
+  if (delta != nullptr && !fused) {
+    const Matrix d = Sparse24GemmNTImpl<Arch>(x, *delta);
+    Arch::Add(y.data().data(), d.data().data(), y.size());
   }
   return y;
 }
@@ -633,6 +690,7 @@ const Backend* MakeBackendTable(const char* name, const char* isa) {
       &GemmTNImpl<Arch>,
       &QuantGemmNTImpl<Arch>,
       &Sparse24GemmNTImpl<Arch>,
+      &PanelGemmNTImpl<Arch>,
       &TransposeImpl<Arch>,
       &AddSpanImpl<Arch>,
       &SubSpanImpl<Arch>,
@@ -644,6 +702,21 @@ const Backend* MakeBackendTable(const char* name, const char* isa) {
   return &table;
 }
 
+// Arch::FusedPanel's contract in its plainest form: the base chain over the
+// dense panel (k = 2 * kept columns), then the Δ̃ chain over the 2:4 panel,
+// each folded from zero, summed once. Vector backends may interleave the two
+// chains; each chain's order, and so every bit, stays the same.
+template <typename Arch>
+void SequentialFusedPanel(const float* x, const float* base,
+                          const Sparse24Matrix::Panel& p, float* out) {
+  float d[kPanelRows];
+  Arch::NTMicro1(x, base, 2 * p.kept, out);
+  Arch::SparsePanel(x, p, d);
+  for (int t = 0; t < kPanelRows; ++t) {
+    out[t] += d[t];
+  }
+}
+
 // Portable scalar inner loops — the exact pre-dispatch arithmetic. The scalar
 // backend uses these wholesale; vector backends reuse the byte helpers they
 // don't specialize.
@@ -651,7 +724,6 @@ struct ScalarOps {
   static constexpr int kWidth = 1;
   static constexpr size_t kQuantJr = 4;
   static constexpr size_t kSparseRows = 4;
-  static constexpr size_t kSparseCols = 1;  // no gather: column path disabled
 
   static void NTMicro4(const float* arow0, const float* arow1,
                        const float* arow2, const float* arow3,
@@ -774,17 +846,50 @@ struct ScalarOps {
     acc[3] = a3;
   }
 
-  // Column-path inner loop: kSparseCols independent chains, one output column
-  // per lane, reading colsT/valsT interleaved kSparseCols apart. Width 1 here —
-  // defined so the driver instantiates, but the scalar backend never takes the
-  // column path.
-  static void SparseInnerT(const float* xrow, const int* colsT,
-                           const float* valsT, size_t len, float* acc) {
-    float a = acc[0];
-    for (size_t s = 0; s < len; ++s) {
-      a += xrow[colsT[s]] * valsT[s];
+  // 16 output-column chains over one 2:4 panel (Sparse24Matrix::Panel): per
+  // kept slot kk, lane t decodes its code and in-group position with shifts
+  // shared by all lanes, dequantizes it with ValueAt()'s expression and adds
+  // x[(kk / 2) * 4 + position] * value, slots ascending.
+  static void SparsePanel(const float* x, const Sparse24Matrix::Panel& p,
+                          float* out) {
+    float acc[kPanelRows] = {};
+    const uint32_t mask = (1u << p.bits) - 1u;
+    const uint32_t* codes = p.codes;
+    const uint32_t* indices = p.indices;
+    const int32_t* zeros = p.zeros;
+    const float* scales = p.scales;
+    int code_shift = 0;
+    int group_left = p.group_size;
+    for (int kk = 0; kk < p.kept; ++kk) {
+      if (group_left == 0) {
+        zeros += kPanelRows;
+        scales += kPanelRows;
+        group_left = p.group_size;
+      }
+      --group_left;
+      const int index_shift = (kk & 15) * 2;
+      const float* xg = x + (kk >> 1) * 4;
+      for (int t = 0; t < kPanelRows; ++t) {
+        const int q = static_cast<int>((codes[t] >> code_shift) & mask);
+        const int pos = static_cast<int>((indices[t] >> index_shift) & 0x3u);
+        const float v = static_cast<float>(q - zeros[t]) * scales[t];
+        acc[t] += xg[pos] * v;
+      }
+      code_shift += p.bits;
+      if (code_shift == 32) {
+        code_shift = 0;
+        codes += kPanelRows;
+      }
+      if ((kk & 15) == 15) {
+        indices += kPanelRows;
+      }
     }
-    acc[0] = a;
+    std::copy(acc, acc + kPanelRows, out);
+  }
+
+  static void FusedPanel(const float* x, const float* base,
+                         const Sparse24Matrix::Panel& p, float* out) {
+    SequentialFusedPanel<ScalarOps>(x, base, p, out);
   }
 
   static void SparseInner(const float* x0, size_t stride, const int* cols,

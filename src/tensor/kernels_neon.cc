@@ -21,7 +21,6 @@ struct NeonOps {
   static constexpr int kWidth = 4;
   static constexpr size_t kQuantJr = 4;
   static constexpr size_t kSparseRows = 4;
-  static constexpr size_t kSparseCols = 1;  // no NEON gather: column path off
 
   // 4x16 NT micro-kernel: 4 q-register accumulators per output row.
   static void NTMicro4(const float* arow0, const float* arow1,
@@ -176,9 +175,94 @@ struct NeonOps {
     ScalarOps::SparseInner(x0, stride, cols, vals, len, acc);
   }
 
-  static void SparseInnerT(const float* xrow, const int* colsT,
-                           const float* valsT, size_t len, float* acc) {
-    ScalarOps::SparseInnerT(xrow, colsT, valsT, len, acc);  // unreachable
+  // 16 output-column chains (four q registers) over a 2:4 panel. Each slot
+  // is an immediate shift and a mask of the code and index word vectors; the
+  // x value at position pos of the slot's 4-column group is a byte table
+  // lookup into that group (lane bytes 4*pos .. 4*pos + 3) — no gather.
+  template <int kBits>
+  static void SparsePanelBits(const float* x, const Sparse24Matrix::Panel& p,
+                              float* out) {
+    constexpr int kPerWord = 32 / kBits;
+    const uint32x4_t mask = vdupq_n_u32((1u << kBits) - 1u);
+    const uint32x4_t three = vdupq_n_u32(3u);
+    const uint32x4_t byte_splat = vdupq_n_u32(0x04040404u);
+    const uint32x4_t byte_offsets = vdupq_n_u32(0x03020100u);
+    const uint32_t* codes = p.codes;
+    const uint32_t* indices = p.indices;
+    const int32_t* zeros = p.zeros;
+    const float* scales = p.scales;
+    float32x4_t acc[4];
+    int32x4_t zero[4];
+    float32x4_t scale[4];
+    uint32x4_t iw[4];
+    for (int q = 0; q < 4; ++q) {
+      acc[q] = vdupq_n_f32(0.0f);
+      zero[q] = vld1q_s32(zeros + q * 4);
+      scale[q] = vld1q_f32(scales + q * 4);
+      iw[q] = vdupq_n_u32(0u);
+    }
+    int group_left = p.group_size;
+    for (int kk = 0; kk < p.kept;) {
+      uint32x4_t cw[4];
+      for (int q = 0; q < 4; ++q) {
+        cw[q] = vld1q_u32(codes + q * 4);
+      }
+      codes += kPanelRows;
+      for (int s = 0; s < kPerWord && kk < p.kept; ++s, ++kk) {
+        if (group_left == 0) {
+          zeros += kPanelRows;
+          scales += kPanelRows;
+          for (int q = 0; q < 4; ++q) {
+            zero[q] = vld1q_s32(zeros + q * 4);
+            scale[q] = vld1q_f32(scales + q * 4);
+          }
+          group_left = p.group_size;
+        }
+        --group_left;
+        if ((kk & 15) == 0) {
+          for (int q = 0; q < 4; ++q) {
+            iw[q] = vld1q_u32(indices + q * 4);
+          }
+          indices += kPanelRows;
+        }
+        const uint8x16_t xg = vreinterpretq_u8_f32(vld1q_f32(x + (kk >> 1) * 4));
+        for (int q = 0; q < 4; ++q) {
+          const uint32x4_t code = vandq_u32(cw[q], mask);
+          cw[q] = vshrq_n_u32(cw[q], kBits);
+          const uint32x4_t pos = vandq_u32(iw[q], three);
+          iw[q] = vshrq_n_u32(iw[q], 2);
+          const uint32x4_t lanes =
+              vaddq_u32(vmulq_u32(pos, byte_splat), byte_offsets);
+          const float32x4_t xv = vreinterpretq_f32_u8(
+              vqtbl1q_u8(xg, vreinterpretq_u8_u32(lanes)));
+          const float32x4_t v = vmulq_f32(
+              vcvtq_f32_s32(vsubq_s32(vreinterpretq_s32_u32(code), zero[q])),
+              scale[q]);
+          acc[q] = vaddq_f32(acc[q], vmulq_f32(xv, v));
+        }
+      }
+    }
+    for (int q = 0; q < 4; ++q) {
+      vst1q_f32(out + q * 4, acc[q]);
+    }
+  }
+
+  static void FusedPanel(const float* x, const float* base,
+                         const Sparse24Matrix::Panel& p, float* out) {
+    SequentialFusedPanel<NeonOps>(x, base, p, out);
+  }
+
+  static void SparsePanel(const float* x, const Sparse24Matrix::Panel& p,
+                          float* out) {
+    if (p.kept == 0) {
+      ScalarOps::SparsePanel(x, p, out);
+    } else if (p.bits == 2) {
+      SparsePanelBits<2>(x, p, out);
+    } else if (p.bits == 4) {
+      SparsePanelBits<4>(x, p, out);
+    } else {
+      SparsePanelBits<8>(x, p, out);
+    }
   }
 
   static void PackStrip16(const float* b0, size_t ldb, int k, float* panel) {

@@ -109,14 +109,29 @@ Matrix PackedQuantMatrix::MatmulNT(const Matrix& x) const {
   return kernels::QuantGemmNT(x, *this);
 }
 
+bool PackedQuantMatrix::StorageFits(int rows, int cols, int bits, int group_size,
+                                    size_t packed_words, size_t scale_count,
+                                    size_t zero_count) {
+  if (rows <= 0 || cols <= 0 || group_size <= 0 ||
+      (bits != 2 && bits != 4 && bits != 8)) {
+    return false;
+  }
+  const size_t n = static_cast<size_t>(rows);
+  const size_t c = static_cast<size_t>(cols);
+  const size_t gs = std::min(static_cast<size_t>(group_size), c);
+  const size_t codes_per_word = 32 / static_cast<size_t>(bits);
+  const size_t groups = n * ((c + gs - 1) / gs);
+  return packed_words == n * ((c + codes_per_word - 1) / codes_per_word) &&
+         scale_count == groups && zero_count == groups;
+}
+
 PackedQuantMatrix PackedQuantMatrix::FromStorage(int rows, int cols, int bits,
                                                  int group_size,
                                                  std::vector<uint32_t> packed,
                                                  std::vector<float> scales,
                                                  std::vector<uint8_t> zeros) {
-  DZ_CHECK_GT(rows, 0);
-  DZ_CHECK_GT(cols, 0);
-  DZ_CHECK(bits == 2 || bits == 4 || bits == 8);
+  DZ_CHECK(StorageFits(rows, cols, bits, group_size, packed.size(), scales.size(),
+                       zeros.size()));
   PackedQuantMatrix out;
   out.rows_ = rows;
   out.cols_ = cols;
@@ -125,9 +140,6 @@ PackedQuantMatrix PackedQuantMatrix::FromStorage(int rows, int cols, int bits,
   out.groups_per_row_ = (cols + out.group_size_ - 1) / out.group_size_;
   out.codes_per_word_ = 32 / bits;
   out.words_per_row_ = (cols + out.codes_per_word_ - 1) / out.codes_per_word_;
-  DZ_CHECK_EQ(packed.size(), static_cast<size_t>(rows) * out.words_per_row_);
-  DZ_CHECK_EQ(scales.size(), static_cast<size_t>(rows) * out.groups_per_row_);
-  DZ_CHECK_EQ(zeros.size(), scales.size());
   out.packed_ = std::move(packed);
   out.scales_ = std::move(scales);
   out.zeros_ = std::move(zeros);

@@ -49,7 +49,15 @@ class PackedQuantMatrix {
   const std::vector<float>& scales() const { return scales_; }
   const std::vector<uint8_t>& zeros() const { return zeros_; }
 
-  // Rebuilds a matrix from raw storage (deserialization).
+  // True when raw storage of these lengths is consistent with the dimensions:
+  // rows > 0, cols > 0, bits in {2, 4, 8}, group_size > 0, and every array
+  // exactly as long as the dimensions imply. Deserializers check untrusted
+  // fields with it before calling FromStorage.
+  static bool StorageFits(int rows, int cols, int bits, int group_size,
+                          size_t packed_words, size_t scale_count, size_t zero_count);
+
+  // Rebuilds a matrix from raw storage (deserialization). Check-fails unless
+  // StorageFits() holds for it.
   static PackedQuantMatrix FromStorage(int rows, int cols, int bits, int group_size,
                                        std::vector<uint32_t> packed,
                                        std::vector<float> scales,

@@ -62,8 +62,8 @@ Sparse24Matrix Sparse24Matrix::Pack(const Matrix& w, int bits, int group_size) {
   out.codes_per_word_ = 32 / bits;
   out.words_per_row_ = (out.kept_per_row_ + out.codes_per_word_ - 1) / out.codes_per_word_;
   out.packed_.assign(static_cast<size_t>(out.rows_) * out.words_per_row_, 0u);
-  const int index_words_per_row = (out.kept_per_row_ + 15) / 16;  // 2 bits each
-  out.indices_.assign(static_cast<size_t>(out.rows_) * index_words_per_row, 0u);
+  const int iwords = out.index_words_per_row();  // 2 bits each
+  out.indices_.assign(static_cast<size_t>(out.rows_) * iwords, 0u);
   out.scales_.assign(static_cast<size_t>(out.rows_) * out.groups_per_row_, 1.0f);
   out.zeros_.assign(static_cast<size_t>(out.rows_) * out.groups_per_row_, 0);
 
@@ -131,11 +131,12 @@ Sparse24Matrix Sparse24Matrix::Pack(const Matrix& w, int bits, int group_size) {
     }
     // Pack 2-bit indices.
     for (int kk = 0; kk < out.kept_per_row_; ++kk) {
-      const size_t word = static_cast<size_t>(r) * index_words_per_row + kk / 16;
+      const size_t word = static_cast<size_t>(r) * iwords + kk / 16;
       const int shift = (kk % 16) * 2;
       out.indices_[word] |= static_cast<uint32_t>(pos[static_cast<size_t>(kk)]) << shift;
     }
   }
+  out.BuildPanels();
   return out;
 }
 
@@ -150,11 +151,11 @@ float Sparse24Matrix::KeptValueAt(int r, int k) const {
 
 Matrix Sparse24Matrix::Dequantize() const {
   Matrix out(rows_, cols_);
-  const int index_words_per_row = (kept_per_row_ + 15) / 16;
+  const int iwords = index_words_per_row();
   for (int r = 0; r < rows_; ++r) {
     float* dst = out.row(r);
     for (int k = 0; k < kept_per_row_; ++k) {
-      const size_t word = static_cast<size_t>(r) * index_words_per_row + k / 16;
+      const size_t word = static_cast<size_t>(r) * iwords + k / 16;
       const int shift = (k % 16) * 2;
       const int in_group = static_cast<int>((indices_[word] >> shift) & 0x3u);
       const int group = k / 2;
@@ -168,14 +169,30 @@ Matrix Sparse24Matrix::MatmulNT(const Matrix& x) const {
   return kernels::Sparse24GemmNT(x, *this);
 }
 
+bool Sparse24Matrix::StorageFits(int rows, int cols, int bits, int group_size,
+                                 size_t packed_words, size_t index_words,
+                                 size_t scale_count, size_t zero_count) {
+  if (rows <= 0 || cols < 0 || cols % 4 != 0 || group_size <= 0 ||
+      (bits != 2 && bits != 4 && bits != 8)) {
+    return false;
+  }
+  const size_t n = static_cast<size_t>(rows);
+  const size_t kept = static_cast<size_t>(cols) / 2;
+  const size_t gs = std::min(static_cast<size_t>(group_size), std::max<size_t>(kept, 1));
+  const size_t codes_per_word = 32 / static_cast<size_t>(bits);
+  const size_t groups = n * ((kept + gs - 1) / gs);
+  return packed_words == n * ((kept + codes_per_word - 1) / codes_per_word) &&
+         index_words == n * ((kept + 15) / 16) && scale_count == groups &&
+         zero_count == groups;
+}
+
 Sparse24Matrix Sparse24Matrix::FromStorage(int rows, int cols, int bits, int group_size,
                                            std::vector<uint32_t> packed,
                                            std::vector<uint32_t> indices,
                                            std::vector<float> scales,
                                            std::vector<uint8_t> zeros) {
-  DZ_CHECK_GT(rows, 0);
-  DZ_CHECK_EQ(cols % 4, 0);
-  DZ_CHECK(bits == 2 || bits == 4 || bits == 8);
+  DZ_CHECK(StorageFits(rows, cols, bits, group_size, packed.size(), indices.size(),
+                       scales.size(), zeros.size()));
   Sparse24Matrix out;
   out.rows_ = rows;
   out.cols_ = cols;
@@ -185,15 +202,53 @@ Sparse24Matrix Sparse24Matrix::FromStorage(int rows, int cols, int bits, int gro
   out.groups_per_row_ = (out.kept_per_row_ + out.group_size_ - 1) / out.group_size_;
   out.codes_per_word_ = 32 / bits;
   out.words_per_row_ = (out.kept_per_row_ + out.codes_per_word_ - 1) / out.codes_per_word_;
-  DZ_CHECK_EQ(packed.size(), static_cast<size_t>(rows) * out.words_per_row_);
-  DZ_CHECK_EQ(indices.size(), static_cast<size_t>(rows) * ((out.kept_per_row_ + 15) / 16));
-  DZ_CHECK_EQ(scales.size(), static_cast<size_t>(rows) * out.groups_per_row_);
-  DZ_CHECK_EQ(zeros.size(), scales.size());
   out.packed_ = std::move(packed);
   out.indices_ = std::move(indices);
   out.scales_ = std::move(scales);
   out.zeros_ = std::move(zeros);
+  out.BuildPanels();
   return out;
+}
+
+void Sparse24Matrix::BuildPanels() {
+  // Pure data movement: every panel word is a storage word, every zero and
+  // scale a storage value, so kernels over the panels see exactly the codes
+  // and quant params the row-major storage holds.
+  const size_t panels = static_cast<size_t>(PanelCount(rows_));
+  const size_t iwords = static_cast<size_t>(index_words_per_row());
+  const size_t words = static_cast<size_t>(words_per_row_);
+  const size_t groups = static_cast<size_t>(groups_per_row_);
+  constexpr size_t kLanes = kPanelRows;
+  panel_codes_.assign(panels * words * kLanes, 0u);
+  panel_indices_.assign(panels * iwords * kLanes, 0u);
+  panel_zeros_.assign(panels * groups * kLanes, 0);
+  panel_scales_.assign(panels * groups * kLanes, 0.0f);
+  for (size_t r = 0; r < static_cast<size_t>(rows_); ++r) {
+    const size_t p = r / kLanes;
+    const size_t t = r % kLanes;
+    for (size_t w = 0; w < words; ++w) {
+      panel_codes_[(p * words + w) * kLanes + t] = packed_[r * words + w];
+    }
+    for (size_t w = 0; w < iwords; ++w) {
+      panel_indices_[(p * iwords + w) * kLanes + t] = indices_[r * iwords + w];
+    }
+    for (size_t g = 0; g < groups; ++g) {
+      panel_zeros_[(p * groups + g) * kLanes + t] = zeros_[r * groups + g];
+      panel_scales_[(p * groups + g) * kLanes + t] = scales_[r * groups + g];
+    }
+  }
+}
+
+Sparse24Matrix::Panel Sparse24Matrix::panel(int p) const {
+  const size_t lanes = static_cast<size_t>(p) * kPanelRows;
+  const size_t groups = static_cast<size_t>(groups_per_row_);
+  return {panel_codes_.data() + lanes * words_per_row_,
+          panel_indices_.data() + lanes * index_words_per_row(),
+          panel_zeros_.data() + lanes * groups,
+          panel_scales_.data() + lanes * groups,
+          kept_per_row_,
+          bits_,
+          group_size_};
 }
 
 size_t Sparse24Matrix::ByteSize() const {

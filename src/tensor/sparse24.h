@@ -10,6 +10,10 @@
 //
 // Construction takes an already 2:4-pruned dense matrix (the mask search lives in
 // src/compress — magnitude- or Hessian-aware); this class is the packing/layout layer.
+//
+// Pack and FromStorage also lay the same storage out once as 16-row panels for
+// the decode-step kernels (see Panel below). The panels are derived data: they
+// are neither serialized nor counted in ByteSize().
 #ifndef SRC_TENSOR_SPARSE24_H_
 #define SRC_TENSOR_SPARSE24_H_
 
@@ -17,6 +21,7 @@
 #include <vector>
 
 #include "src/tensor/matrix.h"
+#include "src/tensor/panel_matrix.h"
 
 namespace dz {
 
@@ -57,16 +62,45 @@ class Sparse24Matrix {
   const std::vector<float>& scales() const { return scales_; }
   const std::vector<uint8_t>& zeros() const { return zeros_; }
 
-  // Rebuilds a matrix from raw storage (deserialization). Sizes must be consistent
-  // with the dimensions; check-fails otherwise.
+  // True when raw storage of these lengths is consistent with the dimensions:
+  // rows > 0, cols >= 0 and a multiple of 4, bits in {2, 4, 8}, group_size > 0,
+  // and every array exactly as long as the dimensions imply. Deserializers
+  // check untrusted fields with it before calling FromStorage.
+  static bool StorageFits(int rows, int cols, int bits, int group_size,
+                          size_t packed_words, size_t index_words,
+                          size_t scale_count, size_t zero_count);
+
+  // Rebuilds a matrix from raw storage (deserialization). Check-fails unless
+  // StorageFits() holds for it.
   static Sparse24Matrix FromStorage(int rows, int cols, int bits, int group_size,
                                     std::vector<uint32_t> packed,
                                     std::vector<uint32_t> indices,
                                     std::vector<float> scales,
                                     std::vector<uint8_t> zeros);
 
+  // One 16-row panel of the decode-step layout. Lane t is weight row
+  // 16p + t. Each storage word of the panel's rows sits beside the same word
+  // of the other 15 rows, so one 16-lane load yields the same run of kept
+  // slots for all of them and every slot decodes with lane-uniform shifts:
+  // slot kk's code is bits [(kk % (32/bits)) * bits, +bits) of code word
+  // kk / (32/bits), its in-group position bits [(kk % 16) * 2, +2) of index
+  // word kk / 16, and its quant params those of group kk / group_size. Dead
+  // lanes of a partial last panel decode to 0 * 0 at position 0.
+  struct Panel {
+    const uint32_t* codes;    // [code word][kPanelRows]
+    const uint32_t* indices;  // [index word][kPanelRows]
+    const int32_t* zeros;     // [group][kPanelRows]
+    const float* scales;      // [group][kPanelRows]
+    int kept;                 // stored slots per row, cols / 2
+    int bits;
+    int group_size;
+  };
+  Panel panel(int p) const;
+
  private:
   float KeptValueAt(int r, int k) const;  // k-th kept value in row r
+  int index_words_per_row() const { return (kept_per_row_ + 15) / 16; }
+  void BuildPanels();
 
   int rows_ = 0;
   int cols_ = 0;
@@ -80,6 +114,11 @@ class Sparse24Matrix {
   std::vector<uint32_t> indices_;   // 2-bit positions, 16 per word
   std::vector<float> scales_;
   std::vector<uint8_t> zeros_;
+  // The same storage as panels (Panel), built by BuildPanels.
+  std::vector<uint32_t> panel_codes_;
+  std::vector<uint32_t> panel_indices_;
+  std::vector<int32_t> panel_zeros_;
+  std::vector<float> panel_scales_;
 };
 
 }  // namespace dz

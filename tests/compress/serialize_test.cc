@@ -114,6 +114,102 @@ TEST_F(SerializeTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(DecodeDelta(encoded, decoded));
 }
 
+// Field offsets in an EncodeDelta buffer (layout in serialize.h): the header
+// puts config.group_size at byte 13 and the layer count at 23; the first
+// layer's name (u32 length + bytes) starts at 27, then its kind byte and its
+// rows, cols and bits as u32.
+constexpr size_t kGroupSizeAt = 13;
+
+uint32_t GetU32(const ByteBuffer& b, size_t at) {
+  return static_cast<uint32_t>(b[at]) | static_cast<uint32_t>(b[at + 1]) << 8 |
+         static_cast<uint32_t>(b[at + 2]) << 16 | static_cast<uint32_t>(b[at + 3]) << 24;
+}
+
+void PutU32(ByteBuffer& b, size_t at, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    b[at + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+size_t FirstLayerRowsAt(const ByteBuffer& b) { return 27 + 4 + GetU32(b, 27) + 1; }
+
+// Decodes `encoded` with one u32 field replaced; must fail cleanly.
+bool DecodesWith(ByteBuffer encoded, size_t at, uint32_t value) {
+  PutU32(encoded, at, value);
+  CompressedDelta decoded;
+  return DecodeDelta(encoded, decoded);
+}
+
+TEST_F(SerializeTest, RejectsZeroGroupSize) {
+  for (const CompressedDelta* delta : {delta_, dense_delta_}) {
+    EXPECT_FALSE(DecodesWith(EncodeDelta(*delta), kGroupSizeAt, 0));
+  }
+}
+
+TEST_F(SerializeTest, RejectsUnsupportedBitWidth) {
+  for (const CompressedDelta* delta : {delta_, dense_delta_}) {
+    const ByteBuffer encoded = EncodeDelta(*delta);
+    const size_t bits_at = FirstLayerRowsAt(encoded) + 8;
+    for (uint32_t bits : {0u, 3u, 16u, 32u}) {
+      EXPECT_FALSE(DecodesWith(encoded, bits_at, bits)) << "bits=" << bits;
+    }
+  }
+}
+
+TEST_F(SerializeTest, RejectsNonPositiveRows) {
+  for (const CompressedDelta* delta : {delta_, dense_delta_}) {
+    const ByteBuffer encoded = EncodeDelta(*delta);
+    for (uint32_t rows : {0u, 0xFFFFFFFFu, 0x80000000u}) {
+      EXPECT_FALSE(DecodesWith(encoded, FirstLayerRowsAt(encoded), rows))
+          << "rows=" << rows;
+    }
+  }
+}
+
+TEST_F(SerializeTest, RejectsColsNotMultipleOfFour) {
+  const ByteBuffer encoded = EncodeDelta(*delta_);
+  const size_t cols_at = FirstLayerRowsAt(encoded) + 4;
+  const uint32_t cols = GetU32(encoded, cols_at);
+  ASSERT_EQ(cols % 4, 0u);
+  for (uint32_t bad : {cols + 1, cols + 2, cols - 1, 0xFFFFFFFCu}) {
+    EXPECT_FALSE(DecodesWith(encoded, cols_at, bad)) << "cols=" << bad;
+  }
+}
+
+TEST_F(SerializeTest, RejectsStorageLengthsNotMatchingDims) {
+  // Valid-looking dims whose implied packed/index/scale/zero lengths differ from
+  // the arrays that follow them.
+  for (const CompressedDelta* delta : {delta_, dense_delta_}) {
+    const ByteBuffer encoded = EncodeDelta(*delta);
+    const size_t rows_at = FirstLayerRowsAt(encoded);
+    const uint32_t rows = GetU32(encoded, rows_at);
+    const uint32_t cols = GetU32(encoded, rows_at + 4);
+    EXPECT_FALSE(DecodesWith(encoded, rows_at, rows + 1));
+    EXPECT_FALSE(DecodesWith(encoded, rows_at, rows - 1));
+    EXPECT_FALSE(DecodesWith(encoded, rows_at + 4, cols + 64));
+    EXPECT_FALSE(DecodesWith(encoded, rows_at + 8, delta->config.bits == 4 ? 2 : 4));
+  }
+  // A group size that changes the number of groups per row.
+  EXPECT_FALSE(DecodesWith(EncodeDelta(*delta_), kGroupSizeAt, 1));
+}
+
+TEST_F(SerializeTest, StoredSizeIsMeasuredOnFirstUse) {
+  // DecodeDelta does not re-run the lossless codec; StoredByteSize() measures
+  // it on first use and keeps it, equal to the original artifact's.
+  DeltaCompressConfig dc = delta_->config;
+  dc.lossless = true;
+  CompressedDelta lossless = *delta_;
+  lossless.config = dc;
+  CompressedDelta decoded;
+  ASSERT_TRUE(DecodeDelta(EncodeDelta(lossless), decoded));
+  EXPECT_EQ(decoded.StoredByteSize(), GdeflateCompress(lossless.Serialize()).size());
+  EXPECT_EQ(decoded.StoredByteSize(), lossless.StoredByteSize());
+  // A copy is measured afresh, so editing it before first use is safe.
+  CompressedDelta edited = decoded;
+  edited.config.lossless = false;
+  EXPECT_EQ(edited.StoredByteSize(), edited.PackedByteSize());
+}
+
 TEST_F(SerializeTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/dz_artifact.bin";
   ASSERT_TRUE(WriteDeltaFile(path, *delta_));

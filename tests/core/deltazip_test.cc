@@ -1,5 +1,8 @@
 #include "src/core/deltazip.h"
 
+#include <cstdint>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "src/compress/serialize.h"
@@ -149,6 +152,74 @@ TEST_F(DeltaZipServiceTest, RegisterArtifactFromDiskMatchesDirectRegistration) {
     EXPECT_LT(RelativeError(a, b), 1e-6) << i;
   }
   std::remove(path.c_str());
+}
+
+}  // namespace
+}  // namespace dz
+
+namespace dz {
+namespace {
+
+// FNV-1a over the bit patterns of a matrix: pins every value exactly.
+uint64_t BitHash(const Matrix& m) {
+  uint64_t h = 1469598103934665603ull;
+  for (float v : m.data()) {
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int i = 0; i < 4; ++i) {
+      h = (h ^ ((bits >> (8 * i)) & 0xFFu)) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+// A ModelConfig::Small variant served through the decoupled path. Its shapes
+// reach every edge of the decode-step panels: d_ff = 172 leaves a 12-row tail
+// panel, and w_down's 86 kept slots per row split into groups of 64 and 22.
+// The tokens and the logits' bit hashes were pinned from the kernels that
+// predate the panels (base GemmNT plus the 2:4 gather GEMM); the panel kernels
+// must reproduce them bit for bit on every backend. The 8-token Forward runs
+// the fused decode-step sweep on wide backends; the 24-token one the base
+// panels plus the gather GEMM.
+TEST(DeltaZipSmallVariantTest, GenerateAndForwardMatchPinnedValues) {
+  const ModelConfig cfg = ModelConfig::Small();
+  Rng rng(2024);
+  Transformer base(ModelWeights::RandomInit(cfg, rng));
+  PretrainConfig pre;
+  pre.steps = 6;
+  pre.batch = 4;
+  pre.seq_len = 12;
+  Pretrain(base, pre, rng);
+  const auto task = MakeTask(TaskKind::kSentiment, cfg, 7);
+  Transformer tuned(base.weights());
+  FineTuneConfig ft;
+  ft.steps = 6;
+  ft.batch = 4;
+  ft.lr = 2e-3f;
+  FineTuneFmt(tuned, *task, ft, rng);
+  std::vector<std::vector<int>> calib;
+  for (int i = 0; i < 4; ++i) {
+    calib.push_back(task->Sample(rng).tokens);
+  }
+  DeltaZipService service(std::move(base), DeltaZipOptions{});
+  const int id = service.RegisterFmtModel(tuned.weights(), calib);
+
+  const std::vector<int> prompt = {3, 1, 4, 1, 5, 9, 2, 6};
+  std::vector<int> long_seq;
+  for (int i = 0; i < 24; ++i) {
+    long_seq.push_back((i * 37 + 11) % cfg.vocab_size);
+  }
+  EXPECT_EQ(service.Generate(id, prompt, 12), (std::vector<int>{110, 110, 110, 110, 110, 110, 110, 110, 110, 110, 111, 110}));
+  EXPECT_EQ(service.Generate(-1, prompt, 12), (std::vector<int>{88, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8}));
+  EXPECT_EQ(BitHash(service.Forward(id, prompt)), 0xa32c22d286ba583eull);
+  EXPECT_EQ(BitHash(service.Forward(id, long_seq)), 0x345950a760ef20f9ull);
+  EXPECT_EQ(BitHash(service.Forward(-1, long_seq)), 0x8e43c8304c63f8b2ull);
+
+  // The variant shares the service's base panels: its host model holds no
+  // linear weights of its own.
+  for (const auto& layer : service.host(id).weights().LinearLayers()) {
+    EXPECT_EQ(layer.weight->size(), 0u) << layer.name;
+  }
 }
 
 }  // namespace

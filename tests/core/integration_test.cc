@@ -38,17 +38,11 @@ TEST(IntegrationTest, CompressedVariantDecodesLikeMergedModel) {
       DeltaCompress(base.weights(), finetuned.weights(), calib, dc);
 
   const Transformer merged(delta.ApplyTo(base.weights()));
-  // Host with base linears + merged non-linears, as the service builds it.
-  ModelWeights host_w = merged.weights();
-  for (auto& layer : host_w.LinearLayers()) {
-    for (const auto& base_layer : base.weights().LinearLayers()) {
-      if (base_layer.name == layer.name) {
-        *layer.weight = *base_layer.weight;
-      }
-    }
-  }
-  const Transformer host(std::move(host_w));
-  const LinearOverlay overlay = delta.MakeOverlay(host.weights());
+  // Host with merged non-linears and no linear weights over the shared base
+  // panels, as the service builds it.
+  const Transformer host(delta.HostWeights(base.weights()));
+  const LinearPanels panels = LinearPanels::Pack(base.weights());
+  const LinearOverlay overlay = delta.MakeOverlay(panels);
 
   for (uint64_t seed : {1ull, 2ull, 3ull}) {
     Rng prompt_rng(seed);

@@ -96,6 +96,7 @@ TEST(BackendDispatchTest, ActiveTableIsWellFormed) {
   EXPECT_NE(b.gemm_tn, nullptr);
   EXPECT_NE(b.quant_gemm_nt, nullptr);
   EXPECT_NE(b.sparse24_gemm_nt, nullptr);
+  EXPECT_NE(b.panel_gemm_nt, nullptr);
   EXPECT_NE(b.transpose, nullptr);
   EXPECT_NE(b.add_span, nullptr);
   EXPECT_NE(b.sub_span, nullptr);

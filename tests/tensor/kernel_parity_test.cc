@@ -184,6 +184,67 @@ TEST_P(KernelParityTest, Sparse24GatherGemmBitIdentical) {
   }
 }
 
+// The decode-step kernels over 16-row panels (PanelMatrix, Sparse24Matrix
+// panels): n spans partial tail panels, m spans the fused sweep (m below the
+// backend's kSparseRows) and the gather fallback, every bit width, and
+// k = 172 leaves 86 kept slots per row, not a multiple of group size 64.
+TEST_P(KernelParityTest, PanelKernelsBitIdentical) {
+  Rng rng(21);
+  for (int k : {64, 172}) {
+    for (int n : {1, 15, 16, 17, 172}) {
+      const Matrix w = RandomWithZeros(n, k, rng, 0.1);
+      const PanelMatrix panels = PanelMatrix::Pack(w);
+      for (int bits : {2, 4, 8}) {
+        for (int group_size : {3, 64}) {
+          const auto sp = Sparse24Matrix::Pack(
+              MagnitudePrune24(RandomWithZeros(n, k, rng, 0.3)), bits, group_size);
+          for (int m : {1, 3, 15}) {
+            const Matrix x = RandomWithZeros(m, k, rng, 0.2);
+            const std::string tag = "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                                    " n=" + std::to_string(n) +
+                                    " bits=" + std::to_string(bits) +
+                                    " gs=" + std::to_string(group_size);
+            const Matrix base_ref = kernels::ref::GemmNT(x, w);
+            const Matrix delta_ref = kernels::ref::Sparse24GemmNT(x, sp);
+            Matrix fused_ref = base_ref;
+            for (size_t i = 0; i < fused_ref.size(); ++i) {
+              fused_ref.data()[i] += delta_ref.data()[i];
+            }
+            ExpectBitIdentical(kernels::PanelGemmNT(x, panels), base_ref,
+                               "panel base " + tag);
+            ExpectBitIdentical(kernels::Sparse24GemmNT(x, sp), delta_ref,
+                               "panel delta " + tag);
+            ExpectBitIdentical(kernels::PanelGemmNT(x, panels, &sp), fused_ref,
+                               "panel base+delta " + tag);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(KernelParityTest, PanelKernelsLargeParallel) {
+  // Past the parallel threshold, so the panel sweep splits across workers.
+  Rng rng(22);
+  const Matrix w = RandomWithZeros(1000, 2048, rng, 0.1);
+  const PanelMatrix panels = PanelMatrix::Pack(w);
+  const auto sp = Sparse24Matrix::Pack(MagnitudePrune24(RandomWithZeros(1000, 2048, rng, 0.3)),
+                                       4, 64);
+  for (int m : {3, 40}) {
+    const Matrix x = RandomWithZeros(m, 2048, rng, 0.2);
+    const Matrix base_ref = kernels::ref::GemmNT(x, w);
+    Matrix fused_ref = base_ref;
+    const Matrix delta_ref = kernels::ref::Sparse24GemmNT(x, sp);
+    for (size_t i = 0; i < fused_ref.size(); ++i) {
+      fused_ref.data()[i] += delta_ref.data()[i];
+    }
+    const std::string tag = "large m=" + std::to_string(m);
+    ExpectBitIdentical(kernels::PanelGemmNT(x, panels), base_ref, "panel base " + tag);
+    ExpectBitIdentical(kernels::PanelGemmNT(x, panels, &sp), fused_ref,
+                       "panel base+delta " + tag);
+  }
+}
+
 TEST_P(KernelParityTest, TailShapesAndUnalignedRowsBitIdentical) {
   // m, n, k swept over {1, 3, w-1, w, w+1} for the active backend's vector
   // width w: every remainder path (scalar tails, partial panels, last-lane
