@@ -4,41 +4,279 @@
 // through the SBMM execution model. Scheduling is iteration-level FCFS with
 // skip-the-line admission and parent-finish preemption (§5.4).
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <map>
 #include <set>
 
-#include "src/metrics/metrics.h"
-#include "src/serving/artifact_store.h"
-#include "src/serving/engine.h"
-#include "src/serving/prefetcher.h"
-#include "src/serving/scheduler.h"
+#include "src/serving/engine_core.h"
 #include "src/util/check.h"
-#include "src/util/logging.h"
 
 namespace dz {
 
 namespace {
 
-struct PendingReq {
-  TraceRequest req;
-  double sched_attempt_s = -1.0;  // first time the scheduler considered it
-  double fair_tag = -1.0;         // DWFQ virtual finish tag (kept across preemption)
-  double min_service_s = -1.0;    // cached optimistic service estimate (admission)
-  int decoded = 0;                // > 0 for resumed (preempted) requests
-  bool has_first_token = false;
-  double first_token_s = 0.0;
-  double start_s = -1.0;
-  int preemptions = 0;
-};
+// DeltaZip's admission and cost policy for one EngineCore run: skip-the-line
+// admission over at most N co-resident variants, class and parent-finish
+// preemption, and the shared-base + per-variant SBMM (or SGMV) iteration cost.
+struct DeltaZipPolicy {
+  const EngineConfig& config;
+  const ExecModel& exec;
+  EngineCore& core;
+  Counter* preempt_count;
+  int effective_n;
+  PrefetchConfig prefetch;  // off when the budget granted no staging slot
+  double pending_swap_s = 0.0;  // accumulated KV swap work for the next iteration
 
-struct RunningReq {
-  PendingReq state;
-  bool prefilled = false;   // resumed requests skip prefill (KV restored instead)
-  bool needs_kv_restore = false;
-  bool is_skipper = false;
-  int parent_id = -1;  // request id of the parent (for preemption)
+  // Optimistic (lower-bound) service time for admission control: immediate
+  // prefill plus every decode step at batch-1 iteration latency. Anything the
+  // real schedule adds (queueing, loads, batching) only pushes the finish later,
+  // so a deadline this estimate cannot meet is truly unmeetable. Resumed
+  // (preempted) requests owe only their remaining tokens — their cache is
+  // invalidated at preemption, so banked progress is never double-charged.
+  double MinServiceS(PendingReq& p) const {
+    if (p.min_service_s < 0.0) {
+      const double ctx = static_cast<double>(p.req.prompt_tokens + p.decoded);
+      if (p.decoded > 0) {
+        // Resumed: KV restore instead of prefill, remaining decode steps only.
+        p.min_service_s =
+            static_cast<double>(std::max(0, p.req.output_tokens - p.decoded)) *
+            exec.DecodeIterTime(1, ctx);
+      } else {
+        p.min_service_s = exec.PrefillTime(p.req.prompt_tokens) +
+                          ArtifactPrefill(p.req.prompt_tokens) +
+                          static_cast<double>(std::max(0, p.req.output_tokens - 1)) *
+                              exec.DecodeIterTime(1, ctx);
+      }
+    }
+    return p.min_service_s;
+  }
+
+  // Policy order + skip-the-line over at most N variants, then class
+  // preemption and the lookahead prefetch.
+  bool Admit() {
+    std::set<int> selected;  // variants used by running requests
+    std::map<int, int> parent_of_variant;  // variant → running parent request id
+    for (const auto& r : core.running) {
+      selected.insert(r.state.req.model_id);
+      if (!r.is_skipper) {
+        parent_of_variant.emplace(r.state.req.model_id, r.state.req.id);
+      }
+    }
+    std::vector<int> pinned(selected.begin(), selected.end());
+
+    long long kv_used = core.KvTokensInUse();
+    for (auto it = core.queue.begin();
+         it != core.queue.end() &&
+         static_cast<int>(core.running.size()) < config.max_batch;) {
+      const int variant = it->req.model_id;
+      const bool variant_selected = selected.count(variant) > 0;
+      if (!variant_selected && static_cast<int>(selected.size()) >= effective_n) {
+        if (!config.skip_the_line) {
+          break;  // strict FCFS: head-of-line blocks
+        }
+        ++it;
+        continue;
+      }
+      const long long need = it->req.prompt_tokens + it->req.output_tokens;
+      if (kv_used + need > core.kv_capacity_tokens) {
+        if (need > core.kv_capacity_tokens) {
+          it = core.Park(it);  // larger than the whole KV pool: can never run
+          continue;
+        }
+        // No KV space: strict FCFS would also block here.
+        if (!config.skip_the_line) {
+          break;
+        }
+        ++it;
+        continue;
+      }
+      if (it->sched_attempt_s < 0.0) {
+        it->sched_attempt_s = core.now;
+      }
+      if (!core.store.IsResident(variant, core.now)) {
+        const ArtifactStore::LoadResult load =
+            core.store.RequestLoad(variant, core.now, pinned);
+        if (load.ok) {
+          selected.insert(variant);  // the slot is claimed while loading
+          pinned.push_back(variant);
+        } else if (load.unavailable) {
+          // Typed registry failure: no live holder can source this artifact.
+          // Park the request — spinning on it every round would starve the
+          // idle fast-forward (no future event could ever admit it).
+          it = core.Park(it);
+          continue;
+        }
+        // else: no evictable slot right now; retry next scheduling round.
+        ++it;
+        continue;  // admitted once the artifact lands
+      }
+      // Admit. The variant's first running request is its parent; later ones
+      // skipped the line.
+      it = core.Dispatch(it);
+      RunningReq& r = core.running.back();
+      const auto [parent, first_for_variant] =
+          parent_of_variant.emplace(variant, r.state.req.id);
+      if (!first_for_variant) {
+        r.is_skipper = true;
+        r.parent_id = parent->second;
+      }
+      selected.insert(variant);
+      kv_used += need;
+    }
+
+    PreemptForInteractive(selected);
+
+    // ---- lookahead prefetch: warm the next W distinct waiting variants (§8) ----
+    // Overlaps disk→CPU→GPU artifact movement with the iteration below. The pin
+    // set is rebuilt from `selected` (running, claimed, and just-admitted
+    // variants), so a prefetch can never evict an artifact the batch references.
+    if (prefetch.enabled) {
+      core.Prefetch(prefetch, selected, std::vector<int>(selected.begin(), selected.end()));
+    }
+    return true;
+  }
+
+  // One continuous-batching iteration: KV restores of resumed requests, the
+  // shared base-model pass, and the per-variant artifact pass.
+  double IterationCost() {
+    int decode_batch = 0;
+    double ctx_sum = 0.0;
+    std::vector<int> reqs_per_variant(static_cast<size_t>(core.trace.n_models), 0);
+    for (auto& r : core.running) {
+      if (r.needs_kv_restore) {
+        const double swap_s =
+            exec.KvSwapTime(r.state.req.prompt_tokens + r.state.decoded);
+        pending_swap_s += swap_s;
+        core.EmitReq(TraceEventType::kKvSwap, core.now, r.state.req, swap_s, /*aux=*/1);
+        r.needs_kv_restore = false;
+      }
+      if (r.prefilled) {
+        ++decode_batch;
+        ctx_sum += r.state.req.prompt_tokens + r.state.decoded;
+        ++reqs_per_variant[static_cast<size_t>(r.state.req.model_id)];
+      }
+    }
+
+    double iter = config.sched_overhead_s + pending_swap_s;
+    pending_swap_s = 0.0;
+    iter += exec.PrefillTime(core.prefill_tokens) + ArtifactPrefill(core.prefill_tokens);
+    if (decode_batch > 0) {
+      iter += exec.DecodeIterTime(decode_batch, ctx_sum / decode_batch);
+      iter += ArtifactDecodeIter(reqs_per_variant);
+    }
+    return iter;
+  }
+
+  // ---- starvation control: preempt skippers whose parent finished (§5.4) ----
+  void AfterIteration() {
+    if (!config.preemption || core.finished_parents.empty()) {
+      return;
+    }
+    for (auto it = core.running.begin(); it != core.running.end();) {
+      const bool orphaned =
+          it->is_skipper &&
+          std::find(core.finished_parents.begin(), core.finished_parents.end(),
+                    it->parent_id) != core.finished_parents.end();
+      const int remaining = it->state.req.output_tokens - it->state.decoded;
+      if (orphaned && remaining > config.preempt_min_remaining_tokens) {
+        Preempt(*it, /*kv_on_gpu=*/true);
+        it = core.running.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  // ---- class preemption: interactive requests evict batch skippers ----
+  // Reuses the parent-finish preemption machinery (KV swap to host, re-queue,
+  // resume with restored progress): when interactive requests were considered
+  // but left waiting this round, up to that many running batch-class skippers
+  // yield their slots. Parents are never preempted — they anchor their
+  // variant's batching, and evicting one would orphan its skippers.
+  // Class preemption needs a class-aware queue order to make progress: under
+  // FCFS the evicted batch skipper (earlier arrival) re-sorts ahead of the
+  // blocked interactive request and reclaims the freed slot next round — an
+  // admit/evict livelock that burns KV swaps. So the flag is honored only
+  // for kPriority/kDwfq (documented in SchedulerConfig).
+  void PreemptForInteractive(const std::set<int>& selected) {
+    if (!config.scheduler.class_preemption ||
+        config.scheduler.policy == SchedPolicy::kFcfs) {
+      return;
+    }
+    // Count only interactive requests a skipper eviction can actually help:
+    // those blocked on KV space or batch slots (their variant already holds a
+    // slot, or the batch is full). A request blocked on the N-variant cap
+    // gains nothing from evicting a skipper — the skipper's variant slot
+    // stays pinned by its parent — and preempting for it would just churn
+    // admit/evict cycles of KV swaps with no forward progress.
+    // A queued interactive request counts as blocked simply by still being
+    // queued after the admission loop (under a class-aware order it would
+    // have been admitted otherwise) — sched_attempt_s is NOT required, since
+    // batch-full rounds skip the admission loop entirely and KV-blocked
+    // requests bail before the stamp.
+    const bool batch_full = static_cast<int>(core.running.size()) >= config.max_batch;
+    int blocked_interactive = 0;
+    double min_blocked_tag = std::numeric_limits<double>::infinity();
+    for (const auto& p : core.queue) {
+      if (p.req.slo == SloClass::kInteractive &&
+          (batch_full || selected.count(p.req.model_id) > 0)) {
+        ++blocked_interactive;
+        min_blocked_tag = std::min(min_blocked_tag, p.fair_tag);
+      }
+    }
+    for (auto it = core.running.begin();
+         blocked_interactive > 0 && it != core.running.end();) {
+      const int remaining = it->state.req.output_tokens - it->state.decoded;
+      // Under kDwfq the evicted skipper keeps its fair tag, so only evict
+      // skippers that will re-sort *behind* the blocked interactive request —
+      // otherwise the tag-ordered queue hands the freed slot right back to
+      // the skipper next round (the same churn the kFcfs gate prevents).
+      const bool yields_to_interactive =
+          config.scheduler.policy != SchedPolicy::kDwfq ||
+          it->state.fair_tag > min_blocked_tag;
+      if (it->is_skipper && it->state.req.slo == SloClass::kBatch &&
+          yields_to_interactive &&
+          remaining > config.preempt_min_remaining_tokens) {
+        // Only KV actually materialized on the GPU costs a swap-out: a
+        // skipper admitted this round has produced none, and a resumed one
+        // whose restore has not run yet still has its state on the host.
+        Preempt(*it, it->prefilled && !it->needs_kv_restore);
+        it = core.running.erase(it);
+        --blocked_interactive;
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  // Re-queues a running request with its progress banked (it keeps its fair
+  // tag). With `kv_on_gpu` its KV is swapped to host; the cost lands on the
+  // next iteration. The caller erases it from the running batch.
+  void Preempt(const RunningReq& r, bool kv_on_gpu) {
+    PendingReq back = r.state;
+    ++back.preemptions;
+    preempt_count->Inc();
+    core.EmitReq(TraceEventType::kKvPreempt, core.now, back.req);
+    back.min_service_s = -1.0;  // re-estimate from the banked progress
+    if (kv_on_gpu) {
+      const double swap_s = exec.KvSwapTime(back.req.prompt_tokens + back.decoded);
+      pending_swap_s += swap_s;
+      core.EmitReq(TraceEventType::kKvSwap, core.now, back.req, swap_s, /*aux=*/0);
+    }
+    core.Requeue(back);
+  }
+
+  double ArtifactDecodeIter(const std::vector<int>& reqs_per_variant) const {
+    return config.artifact == ArtifactKind::kLoraAdapter
+               ? exec.LoraDecodeIterTime(reqs_per_variant, config.lora_rank)
+               : exec.DeltaDecodeIterTime(reqs_per_variant);
+  }
+
+  double ArtifactPrefill(long long tokens) const {
+    return config.artifact == ArtifactKind::kLoraAdapter
+               ? exec.LoraPrefillTime(tokens, config.lora_rank)
+               : exec.DeltaPrefillTime(tokens);
+  }
 };
 
 class DeltaZipEngine : public ServingEngine {
@@ -62,50 +300,11 @@ class DeltaZipEngine : public ServingEngine {
                : exec_.DeltaBytesPerGpu();
   }
 
-  double ArtifactDecodeIter(const std::vector<int>& reqs_per_variant) const {
-    return config_.artifact == ArtifactKind::kLoraAdapter
-               ? exec_.LoraDecodeIterTime(reqs_per_variant, config_.lora_rank)
-               : exec_.DeltaDecodeIterTime(reqs_per_variant);
-  }
-
-  double ArtifactPrefill(long long tokens) const {
-    return config_.artifact == ArtifactKind::kLoraAdapter
-               ? exec_.LoraPrefillTime(tokens, config_.lora_rank)
-               : exec_.DeltaPrefillTime(tokens);
-  }
-
   EngineConfig config_;
   ExecModel exec_;
 };
 
 ServeReport DeltaZipEngine::Serve(const Trace& trace) {
-  ServeReport report;
-  report.engine_name = name();
-
-  // One registry per engine run (share-nothing: cluster workers run Serve on
-  // parallel threads, and snapshots merge at the cluster layer instead). Every
-  // stat of this run lives here; the ServeReport scalar fields are materialized
-  // from the final snapshot by FinalizeServeMetrics.
-  MetricsRegistry registry;
-  Counter* shed_count[kNumSloClasses];
-  Counter* completed_count[kNumSloClasses];
-  LogHistogram* e2e_hist[kNumSloClasses];
-  LogHistogram* ttft_hist[kNumSloClasses];
-  for (int c = 0; c < kNumSloClasses; ++c) {
-    const MetricLabels by_class = {
-        {"class", SloClassName(static_cast<SloClass>(c))}};
-    shed_count[c] = registry.GetCounter("sched.shed", by_class);
-    completed_count[c] = registry.GetCounter("engine.requests.completed", by_class);
-    e2e_hist[c] = registry.GetHistogram("latency.e2e_s", by_class);
-    ttft_hist[c] = registry.GetHistogram("latency.ttft_s", by_class);
-  }
-  LogHistogram* queue_hist = registry.GetHistogram("latency.queue_s");
-  LogHistogram* load_hist = registry.GetHistogram("latency.load_s");
-  Counter* tokens_out = registry.GetCounter("engine.tokens.output");
-  Counter* tokens_prompt = registry.GetCounter("engine.tokens.prompt");
-  Counter* preempt_count = registry.GetCounter("engine.preemptions");
-  Counter* rounds_count = registry.GetCounter("engine.rounds");
-
   const size_t artifact_bytes = ArtifactBytes();
   const size_t total_mem =
       static_cast<size_t>(config_.exec.tp) * config_.exec.gpu.mem_bytes();
@@ -151,505 +350,25 @@ ServeReport DeltaZipEngine::Serve(const Trace& trace) {
   store_config.h2d_s = config_.artifact == ArtifactKind::kLoraAdapter
                            ? exec_.LoadLoraFromHost(config_.lora_rank)
                            : exec_.LoadDeltaFromHost();
-  store_config.outages = config_.outages;
-  store_config.registry = config_.registry;
-  store_config.registry_node = config_.registry_node;
-  store_config.registry_warm = config_.registry_warm;
-  // Recorder before store: the store emits per-channel transfer spans into it.
-  // Pure observation — no emission below feeds back into scheduling, so traced
-  // runs stay bit-identical to untraced ones (golden-enforced).
-  TraceRecorder recorder(config_.tracing);
-  ArtifactStore store(store_config, trace.n_models, &registry, &recorder);
-  DZ_CHECK_GE(store.GpuCapacity(), 1);
+  EngineCore core(config_, trace, name(), store_config, kv_capacity_tokens);
   // Scheduling concurrency excludes only the staging headroom the budget actually
   // granted: the batch still spans at most N variants, the spare slots stay
   // available for in-flight prefetches, and a memory-clamped budget (no extra
   // slots granted) never costs the scheduler a demand slot.
-  const int effective_n = std::min(config_.max_concurrent_deltas,
-                                   std::max(1, store.GpuCapacity() - granted_staging));
-
-  // Placement-aware warm-up: the router's predicted tenants, drained one low-
-  // priority transfer at a time (as channels go idle) starting at t = 0, so the
-  // worker's expected deltas are warm by the time their requests arrive.
-  std::deque<int> pending_hints =
-      PendingWarmHints(config_.prefetch, trace.n_models, store.GpuCapacity());
+  const int effective_n =
+      std::min(config_.max_concurrent_deltas,
+               std::max(1, core.store.GpuCapacity() - granted_staging));
   // Without granted staging headroom (memory-clamped budget), speculation has no
   // memory of its own to live in — every prefetch (lookahead or hint) would have
   // to evict working-set artifacts. Disable it entirely rather than thrash.
   PrefetchConfig effective_prefetch = config_.prefetch;
   if (granted_staging == 0) {
     effective_prefetch.enabled = false;
-    pending_hints.clear();
   }
-
-  std::deque<PendingReq> queue;
-  std::vector<RunningReq> running;
-  // Requests parked on a typed-unavailable artifact (every registry holder
-  // dead). Registry liveness is constant within one Serve call, so retrying
-  // would spin; they re-enter play only across epochs (halted runs) or fail
-  // typed (natural runs).
-  std::vector<PendingReq> blocked_unavailable;
-  size_t next_arrival = 0;
-  double now = config_.start_s;
-  double pending_swap_s = 0.0;  // accumulated KV swap work for the next iteration
-  FairQueue fair_queue(config_.scheduler);
-  size_t shed_total = 0;  // loop control only; per-class counts live in the registry
-  double next_snapshot_s = config_.start_s + config_.metrics.interval_s;
-
-  // Request-attributed trace emission (one branch when tracing is off). kv.swap
-  // is the only request event that occupies a channel (KV pages over PCIe).
-  auto emit_req = [&](TraceEventType type, double ts, const TraceRequest& req,
-                      double dur = 0.0, int aux = 0) {
-    if (!recorder.enabled()) {
-      return;
-    }
-    TraceEvent ev;
-    ev.type = type;
-    ev.ts_s = ts;
-    ev.dur_s = dur;
-    ev.request_id = req.id;
-    ev.model_id = req.model_id;
-    ev.tenant_id = req.tenant_id;
-    ev.slo = req.slo;
-    ev.aux = aux;
-    if (type == TraceEventType::kKvSwap) {
-      ev.channel = TraceChannel::kPcie;
-    }
-    recorder.Emit(ev);
-  };
-
-  auto ingest = [&](double t) {
-    while (next_arrival < trace.requests.size() &&
-           trace.requests[next_arrival].arrival_s <= t) {
-      PendingReq p;
-      p.req = trace.requests[next_arrival++];
-      emit_req(TraceEventType::kRequestQueued, p.req.arrival_s, p.req);
-      queue.push_back(p);
-    }
-    // Policy order doubles as the re-sort of preempted re-queued requests
-    // (kFcfs is exactly the pre-scheduler stable sort by arrival).
-    OrderQueueForPolicy(config_.scheduler, fair_queue, queue);
-  };
-
-  // Optimistic (lower-bound) service time for admission control: immediate
-  // prefill plus every decode step at batch-1 iteration latency. Anything the
-  // real schedule adds (queueing, loads, batching) only pushes the finish later,
-  // so a deadline this estimate cannot meet is truly unmeetable. Resumed
-  // (preempted) requests owe only their remaining tokens — their cache is
-  // invalidated at preemption, so banked progress is never double-charged.
-  auto min_service_s = [&](PendingReq& p) {
-    if (p.min_service_s < 0.0) {
-      const double ctx = static_cast<double>(p.req.prompt_tokens + p.decoded);
-      if (p.decoded > 0) {
-        // Resumed: KV restore instead of prefill, remaining decode steps only.
-        p.min_service_s =
-            static_cast<double>(std::max(0, p.req.output_tokens - p.decoded)) *
-            exec_.DecodeIterTime(1, ctx);
-      } else {
-        p.min_service_s = exec_.PrefillTime(p.req.prompt_tokens) +
-                          ArtifactPrefill(p.req.prompt_tokens) +
-                          static_cast<double>(std::max(0, p.req.output_tokens - 1)) *
-                              exec_.DecodeIterTime(1, ctx);
-      }
-    }
-    return p.min_service_s;
-  };
-
-  auto kv_tokens_in_use = [&]() {
-    long long total = 0;
-    for (const auto& r : running) {
-      total += r.state.req.prompt_tokens + r.state.req.output_tokens;
-    }
-    return total;
-  };
-
-  while (report.records.size() + shed_total + blocked_unavailable.size() <
-         trace.requests.size()) {
-    // Hard halt (elastic cluster epoch boundary / crash): stop scheduling.
-    // Checked only here, so completions of the iteration in flight when the
-    // clock crossed halt_s have already landed (documented approximation).
-    if (now >= config_.halt_s) {
-      break;
-    }
-    // In-run timeline: sample the registry on the simulated clock. Pure reads —
-    // scheduling below is untouched, so any interval stays bit-identical.
-    while (config_.metrics.interval_s > 0.0 && now >= next_snapshot_s) {
-      report.timeline.push_back(registry.Snapshot(next_snapshot_s));
-      next_snapshot_s += config_.metrics.interval_s;
-    }
-    rounds_count->Inc();
-    ingest(now);
-
-    // ---- admission control: shed requests whose deadline is already lost ----
-    ShedUnmeetable(
-        config_.scheduler, fair_queue, queue, now, min_service_s,
-        [](const PendingReq& p) {
-          // A resumed request already received prefill + `decoded` tokens.
-          return p.decoded > 0 ? p.req.output_tokens - p.decoded
-                               : p.req.prompt_tokens + p.req.output_tokens;
-        },
-        [&](const TraceRequest& req) {
-          shed_count[static_cast<int>(req.slo)]->Inc();
-          ++shed_total;
-          emit_req(TraceEventType::kAdmissionShed, now, req);
-        });
-    if (report.records.size() + shed_total + blocked_unavailable.size() ==
-        trace.requests.size()) {
-      break;  // shedding retired the last outstanding requests: nothing left to
-              // simulate, and the idle fast-forward below would have no event
-    }
-
-    // ---- scheduling: policy order + skip-the-line over at most N variants ----
-    std::set<int> selected;  // variants used by running requests
-    std::map<int, int> parent_of_variant;  // variant → running parent request id
-    for (const auto& r : running) {
-      selected.insert(r.state.req.model_id);
-      if (!r.is_skipper) {
-        auto it = parent_of_variant.find(r.state.req.model_id);
-        if (it == parent_of_variant.end()) {
-          parent_of_variant[r.state.req.model_id] = r.state.req.id;
-        }
-      }
-    }
-    std::vector<int> pinned(selected.begin(), selected.end());
-
-    long long kv_used = kv_tokens_in_use();
-    for (auto it = queue.begin();
-         it != queue.end() && static_cast<int>(running.size()) < config_.max_batch;) {
-      const int variant = it->req.model_id;
-      const bool variant_selected = selected.count(variant) > 0;
-      if (!variant_selected && static_cast<int>(selected.size()) >= effective_n) {
-        if (!config_.skip_the_line) {
-          break;  // strict FCFS: head-of-line blocks
-        }
-        ++it;
-        continue;
-      }
-      const long long need = it->req.prompt_tokens + it->req.output_tokens;
-      if (kv_used + need > kv_capacity_tokens) {
-        // No KV space: strict FCFS would also block here.
-        if (!config_.skip_the_line) {
-          break;
-        }
-        ++it;
-        continue;
-      }
-      if (it->sched_attempt_s < 0.0) {
-        it->sched_attempt_s = now;
-      }
-      if (!store.IsResident(variant, now)) {
-        const ArtifactStore::LoadResult load = store.RequestLoad(variant, now, pinned);
-        if (load.ok) {
-          selected.insert(variant);  // the slot is claimed while loading
-          pinned.push_back(variant);
-        } else if (load.unavailable) {
-          // Typed registry failure: no live holder can source this artifact.
-          // Park the request — spinning on it every round would starve the
-          // idle fast-forward (no future event could ever admit it).
-          blocked_unavailable.push_back(*it);
-          it = queue.erase(it);
-          continue;
-        }
-        // else: no evictable slot right now; retry next scheduling round.
-        ++it;
-        continue;  // admitted once the artifact lands
-      }
-      // Admit.
-      store.Touch(variant, now);
-      emit_req(TraceEventType::kSchedDispatch, now, it->req);
-      if (config_.scheduler.policy == SchedPolicy::kDwfq) {
-        fair_queue.OnAdmit(it->fair_tag);
-      }
-      RunningReq r;
-      r.state = *it;
-      r.state.start_s = r.state.start_s < 0.0 ? now : r.state.start_s;
-      r.prefilled = r.state.decoded > 0;  // resumed requests keep their progress
-      r.needs_kv_restore = r.state.decoded > 0;
-      const bool first_for_variant = parent_of_variant.count(variant) == 0;
-      if (first_for_variant) {
-        parent_of_variant[variant] = r.state.req.id;
-      } else {
-        r.is_skipper = true;
-        r.parent_id = parent_of_variant[variant];
-      }
-      selected.insert(variant);
-      kv_used += need;
-      running.push_back(std::move(r));
-      it = queue.erase(it);
-    }
-
-    // ---- class preemption: interactive requests evict batch skippers ----
-    // Reuses the parent-finish preemption machinery (KV swap to host, re-queue,
-    // resume with restored progress): when interactive requests were considered
-    // but left waiting this round, up to that many running batch-class skippers
-    // yield their slots. Parents are never preempted — they anchor their
-    // variant's batching, and evicting one would orphan its skippers.
-    // Class preemption needs a class-aware queue order to make progress: under
-    // FCFS the evicted batch skipper (earlier arrival) re-sorts ahead of the
-    // blocked interactive request and reclaims the freed slot next round — an
-    // admit/evict livelock that burns KV swaps. So the flag is honored only
-    // for kPriority/kDwfq (documented in SchedulerConfig).
-    if (config_.scheduler.class_preemption &&
-        config_.scheduler.policy != SchedPolicy::kFcfs) {
-      // Count only interactive requests a skipper eviction can actually help:
-      // those blocked on KV space or batch slots (their variant already holds a
-      // slot, or the batch is full). A request blocked on the N-variant cap
-      // gains nothing from evicting a skipper — the skipper's variant slot
-      // stays pinned by its parent — and preempting for it would just churn
-      // admit/evict cycles of KV swaps with no forward progress.
-      // A queued interactive request counts as blocked simply by still being
-      // queued after the admission loop (under a class-aware order it would
-      // have been admitted otherwise) — sched_attempt_s is NOT required, since
-      // batch-full rounds skip the admission loop entirely and KV-blocked
-      // requests bail before the stamp.
-      const bool batch_full = static_cast<int>(running.size()) >= config_.max_batch;
-      int blocked_interactive = 0;
-      double min_blocked_tag = std::numeric_limits<double>::infinity();
-      for (const auto& p : queue) {
-        if (p.req.slo == SloClass::kInteractive &&
-            (batch_full || selected.count(p.req.model_id) > 0)) {
-          ++blocked_interactive;
-          min_blocked_tag = std::min(min_blocked_tag, p.fair_tag);
-        }
-      }
-      for (auto it = running.begin(); blocked_interactive > 0 && it != running.end();) {
-        const int remaining = it->state.req.output_tokens - it->state.decoded;
-        // Under kDwfq the evicted skipper keeps its fair tag, so only evict
-        // skippers that will re-sort *behind* the blocked interactive request —
-        // otherwise the tag-ordered queue hands the freed slot right back to
-        // the skipper next round (the same churn the kFcfs gate prevents).
-        const bool yields_to_interactive =
-            config_.scheduler.policy != SchedPolicy::kDwfq ||
-            it->state.fair_tag > min_blocked_tag;
-        if (it->is_skipper && it->state.req.slo == SloClass::kBatch &&
-            yields_to_interactive &&
-            remaining > config_.preempt_min_remaining_tokens) {
-          PendingReq back = it->state;
-          ++back.preemptions;
-          preempt_count->Inc();
-          emit_req(TraceEventType::kKvPreempt, now, back.req);
-          back.min_service_s = -1.0;  // re-estimate from the banked progress
-          if (it->prefilled && !it->needs_kv_restore) {
-            // Only KV actually materialized on the GPU costs a swap-out: a
-            // skipper admitted this round has produced none, and a resumed one
-            // whose restore has not run yet still has its state on the host.
-            const double swap_s =
-                exec_.KvSwapTime(back.req.prompt_tokens + back.decoded);
-            pending_swap_s += swap_s;
-            emit_req(TraceEventType::kKvSwap, now, back.req, swap_s, /*aux=*/0);
-          }
-          queue.push_back(back);  // keeps its fair_tag; re-ordered next ingest
-          it = running.erase(it);
-          --blocked_interactive;
-        } else {
-          ++it;
-        }
-      }
-    }
-
-    // ---- lookahead prefetch: warm the next W distinct waiting variants (§8) ----
-    // Overlaps disk→CPU→GPU artifact movement with the iteration below. The pin
-    // set is rebuilt from `selected` (running, claimed, and just-admitted
-    // variants), so a prefetch can never evict an artifact the batch references.
-    if (effective_prefetch.enabled) {
-      RunPrefetchPass(store, effective_prefetch, now, queue, selected,
-                      std::vector<int>(selected.begin(), selected.end()),
-                      pending_hints);
-    }
-
-    if (running.empty()) {
-      // The scheduling pass above may have parked the last outstanding
-      // requests as unavailable: nothing is left to simulate, and the idle
-      // fast-forward below would have no future event to jump to.
-      if (report.records.size() + shed_total + blocked_unavailable.size() ==
-          trace.requests.size()) {
-        break;
-      }
-      // Idle: jump to the next arrival or load completion.
-      double next_t = std::numeric_limits<double>::infinity();
-      if (next_arrival < trace.requests.size()) {
-        next_t = trace.requests[next_arrival].arrival_s;
-      }
-      next_t = std::min(next_t, store.NextLoadReady(now));
-      DZ_CHECK(next_t < std::numeric_limits<double>::infinity());
-      now = std::max(now, next_t);
-      continue;
-    }
-
-    // ---- one continuous-batching iteration ----
-    long long prefill_tokens = 0;
-    std::vector<RunningReq*> prefilling;
-    for (auto& r : running) {
-      if (!r.prefilled && prefill_tokens + r.state.req.prompt_tokens <=
-                              config_.max_prefill_tokens) {
-        prefill_tokens += r.state.req.prompt_tokens;
-        prefilling.push_back(&r);
-      }
-      if (r.needs_kv_restore) {
-        const double swap_s =
-            exec_.KvSwapTime(r.state.req.prompt_tokens + r.state.decoded);
-        pending_swap_s += swap_s;
-        emit_req(TraceEventType::kKvSwap, now, r.state.req, swap_s, /*aux=*/1);
-        r.needs_kv_restore = false;
-      }
-    }
-
-    int decode_batch = 0;
-    double ctx_sum = 0.0;
-    std::vector<int> reqs_per_variant(static_cast<size_t>(trace.n_models), 0);
-    for (const auto& r : running) {
-      if (r.prefilled) {
-        ++decode_batch;
-        ctx_sum += r.state.req.prompt_tokens + r.state.decoded;
-        ++reqs_per_variant[static_cast<size_t>(r.state.req.model_id)];
-      }
-    }
-    // Prefill tokens also ride the variant path.
-    std::vector<int> prefill_per_variant(static_cast<size_t>(trace.n_models), 0);
-    for (const auto* r : prefilling) {
-      ++prefill_per_variant[static_cast<size_t>(r->state.req.model_id)];
-    }
-
-    double iter = config_.sched_overhead_s + pending_swap_s;
-    pending_swap_s = 0.0;
-    iter += exec_.PrefillTime(prefill_tokens) + ArtifactPrefill(prefill_tokens);
-    if (decode_batch > 0) {
-      iter += exec_.DecodeIterTime(decode_batch, ctx_sum / decode_batch);
-      iter += ArtifactDecodeIter(reqs_per_variant);
-    }
-    if (config_.speed_factor != 1.0) {
-      iter /= config_.speed_factor;  // slow-node fault: everything stretches
-    }
-    if (recorder.enabled()) {
-      TraceEvent round;
-      round.type = TraceEventType::kBatchRound;
-      round.ts_s = now;
-      round.dur_s = iter;
-      round.aux = static_cast<int>(running.size());
-      recorder.Emit(round);
-    }
-    now += iter;
-
-    // ---- apply iteration results ----
-    for (auto* r : prefilling) {
-      r->prefilled = true;
-      r->state.decoded = 1;  // prefill emits the first output token
-      if (!r->state.has_first_token) {
-        r->state.has_first_token = true;
-        r->state.first_token_s = now;
-        emit_req(TraceEventType::kRequestFirstToken, now, r->state.req);
-      }
-    }
-    std::vector<int> finished_parents;
-    for (auto& r : running) {
-      if (!r.prefilled || (!prefilling.empty() &&
-                           std::find(prefilling.begin(), prefilling.end(), &r) !=
-                               prefilling.end())) {
-        continue;  // prefilled this very iteration: first token already counted
-      }
-      r.state.decoded += 1;
-    }
-    for (auto it = running.begin(); it != running.end();) {
-      if (it->prefilled && it->state.decoded >= it->state.req.output_tokens) {
-        RequestRecord rec;
-        rec.id = it->state.req.id;
-        rec.model_id = it->state.req.model_id;
-        rec.tenant_id = it->state.req.tenant_id;
-        rec.slo = it->state.req.slo;
-        rec.prompt_tokens = it->state.req.prompt_tokens;
-        rec.output_tokens = it->state.req.output_tokens;
-        // Latency/SLO clocks run from the original arrival for re-enqueued
-        // (crash-rerouted) requests; identical to arrival_s on plain traces.
-        rec.arrival_s = it->state.req.SloArrival();
-        rec.sched_attempt_s =
-            it->state.sched_attempt_s < 0 ? it->state.req.arrival_s
-                                          : it->state.sched_attempt_s;
-        rec.start_s = it->state.start_s;
-        rec.first_token_s = it->state.first_token_s;
-        rec.finish_s = now;
-        rec.preemptions = it->state.preemptions;
-        const int cls = static_cast<int>(rec.slo);
-        completed_count[cls]->Inc();
-        e2e_hist[cls]->Record(rec.E2eLatency());
-        ttft_hist[cls]->Record(rec.Ttft());
-        queue_hist->Record(rec.QueueingTime());
-        load_hist->Record(rec.LoadingTime());
-        tokens_out->Inc(static_cast<double>(rec.output_tokens));
-        tokens_prompt->Inc(static_cast<double>(rec.prompt_tokens));
-        report.records.push_back(rec);
-        emit_req(TraceEventType::kRequestDone, now, it->state.req);
-        if (!it->is_skipper) {
-          finished_parents.push_back(it->state.req.id);
-        }
-        it = running.erase(it);
-      } else {
-        ++it;
-      }
-    }
-
-    // ---- starvation control: preempt skippers whose parent finished (§5.4) ----
-    if (config_.preemption && !finished_parents.empty()) {
-      for (auto it = running.begin(); it != running.end();) {
-        const bool orphaned =
-            it->is_skipper &&
-            std::find(finished_parents.begin(), finished_parents.end(),
-                      it->parent_id) != finished_parents.end();
-        const int remaining = it->state.req.output_tokens - it->state.decoded;
-        if (orphaned && remaining > config_.preempt_min_remaining_tokens) {
-          PendingReq back = it->state;
-          ++back.preemptions;
-          preempt_count->Inc();
-          emit_req(TraceEventType::kKvPreempt, now, back.req);
-          back.min_service_s = -1.0;  // re-estimate from the banked progress
-          // Swap intermediate state (KV) to host; cost lands on the next iteration.
-          const double swap_s =
-              exec_.KvSwapTime(back.req.prompt_tokens + back.decoded);
-          pending_swap_s += swap_s;
-          emit_req(TraceEventType::kKvSwap, now, back.req, swap_s, /*aux=*/0);
-          queue.push_back(back);  // re-sorted by arrival on next ingest
-          it = running.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-
-  // Requests the halt cut off: still queued, still running (their partial
-  // progress is lost — the elastic layer re-serves them from scratch), and
-  // never-arrived trace requests. All three sets are empty on a natural run.
-  for (const auto& p : queue) {
-    report.unfinished.push_back(p.req);
-  }
-  for (const auto& r : running) {
-    report.unfinished.push_back(r.state.req);
-  }
-  for (size_t i = next_arrival; i < trace.requests.size(); ++i) {
-    report.unfinished.push_back(trace.requests[i]);
-  }
-  // Parked unavailable requests: on a halted (epoch) run the next epoch may
-  // see recovered holders or completed repairs, so they carry as unfinished;
-  // a natural run declares them terminally unavailable (typed, never silent).
-  const bool halted = config_.halt_s < std::numeric_limits<double>::infinity();
-  for (const auto& p : blocked_unavailable) {
-    (halted ? report.unfinished : report.unavailable).push_back(p.req);
-  }
-  if (config_.registry != nullptr) {
-    report.cached_artifacts = store.LocallyCached();
-  }
-
-  for (const auto& r : report.records) {
-    report.makespan_s = std::max(report.makespan_s, r.finish_s);
-  }
-  report.n_tenants = std::max(1, trace.n_tenants);
-  report.slo_spec = config_.scheduler.slo;
-  FinalizeServeMetrics(registry, report);
-  if (recorder.enabled()) {
-    report.trace_events = recorder.Drain();
-    report.trace_events_dropped = recorder.dropped();
-    report.path_by_class = BuildClassAttribution(ComputeCriticalPaths(report));
-  }
-  return report;
+  DeltaZipPolicy policy{config_, exec_, core,
+                        core.registry.GetCounter("engine.preemptions"), effective_n,
+                        effective_prefetch};
+  return core.Run(policy);
 }
 
 }  // namespace

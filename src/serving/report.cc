@@ -89,16 +89,6 @@ int ServeReport::TotalShed() const {
   return total;
 }
 
-size_t ServeReport::ClassCompleted(SloClass slo) const {
-  size_t count = 0;
-  for (const auto& r : records) {
-    if (r.slo == slo) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 double ServeReport::ClassAttainment(SloClass slo) const {
   const SloSpec& spec = slo_spec.Of(slo);
   size_t met = 0;

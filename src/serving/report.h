@@ -135,8 +135,6 @@ struct ServeReport {
   // yield well-defined values (never NaN/inf) — the CompressionRatio lesson.
 
   int TotalShed() const;
-  // Completed requests of the class (shed ones have no record).
-  size_t ClassCompleted(SloClass slo) const;
   // Fraction of the class's requests (completed + shed) that met BOTH their
   // class deadlines (TTFT and E2E from slo_spec). A class that saw no requests
   // at all vacuously attains 1.0.
@@ -161,7 +159,7 @@ void AppendTenantRows(Table& table, const ServeReport& report);
 // Takes the run's final registry snapshot (tagged with the report's makespan)
 // and materializes the legacy scalar stat fields from it: artifact/prefetch/
 // channel totals from the "store.*" instruments and shed_by_class from the
-// "sched.shed" counters. Both engines call this once at the end of Serve;
+// "sched.shed" counters. EngineCore calls this once at the end of a run;
 // BuildClusterReport applies the same materialization to the merged snapshot.
 void FinalizeServeMetrics(MetricsRegistry& registry, ServeReport& report);
 

@@ -5,36 +5,145 @@
 // batch across variants and must move full fp16 checkpoints on every swap — the two
 // costs DeltaZip removes.
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <map>
 #include <set>
 
-#include "src/metrics/metrics.h"
-#include "src/serving/artifact_store.h"
-#include "src/serving/engine.h"
-#include "src/serving/prefetcher.h"
-#include "src/serving/scheduler.h"
+#include "src/serving/engine_core.h"
 #include "src/util/check.h"
 
 namespace dz {
 
 namespace {
 
-struct PendingReq {
-  TraceRequest req;
-  double sched_attempt_s = -1.0;
-  double fair_tag = -1.0;       // DWFQ virtual finish tag
-  double min_service_s = -1.0;  // cached optimistic service estimate (admission)
-};
+// The baseline's admission and cost policy for one EngineCore run: a request
+// runs only when its whole model is resident, at most one blocking demand swap
+// is in flight, and every resident model costs a separate full-precision pass.
+// This engine never preempts, so no request is ever re-queued.
+struct VllmScbPolicy {
+  const EngineConfig& config;
+  const ExecModel& exec;
+  EngineCore& core;
+  // Completion time of the in-flight *demand* swap (-inf when none). Demand swaps
+  // sit on the worker's critical path; prefetch transfers do not.
+  double demand_ready = -std::numeric_limits<double>::infinity();
 
-struct RunningReq {
-  PendingReq state;
-  bool prefilled = false;
-  int decoded = 0;
-  double start_s = 0.0;
-  double first_token_s = 0.0;
-  bool has_first_token = false;
+  // Optimistic service lower bound for admission control (batch-1 decode after
+  // an immediate prefill; real scheduling and swaps only add to it).
+  double MinServiceS(PendingReq& p) const {
+    if (p.min_service_s < 0.0) {
+      const double ctx = static_cast<double>(p.req.prompt_tokens);
+      p.min_service_s = exec.PrefillTime(p.req.prompt_tokens) +
+                        static_cast<double>(std::max(0, p.req.output_tokens - 1)) *
+                            exec.DecodeIterTime(1, ctx);
+    }
+    return p.min_service_s;
+  }
+
+  // Policy order; a request runs only when its model is resident. Returns false
+  // while a blocking demand swap holds the worker.
+  bool Admit() {
+    std::set<int> models_in_use;
+    for (const auto& r : core.running) {
+      models_in_use.insert(r.state.req.model_id);
+    }
+    std::vector<int> pinned(models_in_use.begin(), models_in_use.end());
+
+    long long kv_used = core.KvTokensInUse();
+    bool load_in_flight = demand_ready > core.now;
+    for (auto it = core.queue.begin();
+         it != core.queue.end() &&
+         static_cast<int>(core.running.size()) < config.max_batch;) {
+      const int model = it->req.model_id;
+      const long long need = it->req.prompt_tokens + it->req.output_tokens;
+      if (kv_used + need > core.kv_capacity_tokens) {
+        if (need > core.kv_capacity_tokens) {
+          it = core.Park(it);  // larger than the whole KV pool: can never run
+          continue;
+        }
+        break;  // head-of-line blocks on KV space
+      }
+      if (it->sched_attempt_s < 0.0) {
+        it->sched_attempt_s = core.now;
+      }
+      if (!core.store.IsResident(model, core.now)) {
+        // Trigger the swap. The engine worker performs weight loading synchronously
+        // (vLLM loads checkpoints in the serving process), so at most one demand swap
+        // is in flight and — crucially — that swap sits on the critical path of every
+        // running request (paper §2.2 "Swapping incurs high latency"). A model already
+        // arriving via prefetch needs no swap: RequestLoad just registers the hit.
+        if (core.store.IsLoading(model, core.now)) {
+          core.store.RequestLoad(model, core.now, pinned);
+        } else if (!load_in_flight) {
+          if (core.store.GpuCount(core.now) >= core.store.GpuCapacity() &&
+              static_cast<int>(models_in_use.size()) >= core.store.GpuCapacity()) {
+            ++it;  // every slot is actively serving; wait for one to drain
+            continue;
+          }
+          const ArtifactStore::LoadResult load =
+              core.store.RequestLoad(model, core.now, pinned);
+          if (load.ok) {
+            demand_ready = load.ready_at;
+            load_in_flight = true;
+          } else if (load.unavailable) {
+            // Typed registry failure: no live holder can source this model.
+            // Park the request rather than spin on an unsatisfiable swap.
+            it = core.Park(it);
+            continue;
+          }
+        }
+        ++it;
+        continue;
+      }
+      it = core.Dispatch(it);
+      models_in_use.insert(model);
+      pinned.push_back(model);
+      kv_used += need;
+    }
+
+    // ---- lookahead prefetch: warm the next W distinct waiting models (§8) ----
+    // Unlike the demand swap below these transfers are asynchronous, so the worker
+    // keeps generating for the models already resident while the next checkpoint
+    // travels disk→host→GPU. `pinned` carries every model the running batch uses,
+    // so a prefetch can never evict a running model.
+    core.Prefetch(config.prefetch, models_in_use, pinned);
+
+    // Blocking demand swap: while a model is being copied in on the critical path,
+    // the worker generates nothing. (Prefetch transfers land in the background.)
+    if (demand_ready > core.now) {
+      core.now = demand_ready;
+      return false;
+    }
+    return true;
+  }
+
+  // Loops over the resident models, each a separate full-precision pass.
+  double IterationCost() const {
+    std::map<int, long long> prefill_tokens_per_model;
+    for (const auto* r : core.prefilling) {
+      prefill_tokens_per_model[r->state.req.model_id] += r->state.req.prompt_tokens;
+    }
+    std::map<int, std::pair<int, double>> decode_per_model;  // model → (batch, ctx sum)
+    for (const auto& r : core.running) {
+      if (r.prefilled) {
+        auto& [batch, ctx] = decode_per_model[r.state.req.model_id];
+        ++batch;
+        ctx += r.state.req.prompt_tokens + r.state.decoded;
+      }
+    }
+
+    double iter = config.sched_overhead_s;
+    for (const auto& [model, tokens] : prefill_tokens_per_model) {
+      iter += exec.PrefillTime(tokens);
+    }
+    for (const auto& [model, batch_ctx] : decode_per_model) {
+      iter += exec.DecodeIterTime(batch_ctx.first,
+                                   batch_ctx.second / batch_ctx.first);
+    }
+    return iter;
+  }
+
+  void AfterIteration() {}
 };
 
 class VllmScbEngine : public ServingEngine {
@@ -51,30 +160,6 @@ class VllmScbEngine : public ServingEngine {
 };
 
 ServeReport VllmScbEngine::Serve(const Trace& trace) {
-  ServeReport report;
-  report.engine_name = name();
-
-  // Per-run registry, mirroring DeltaZipEngine (share-nothing across cluster
-  // worker threads; ServeReport scalars materialize from the final snapshot).
-  MetricsRegistry registry;
-  Counter* shed_count[kNumSloClasses];
-  Counter* completed_count[kNumSloClasses];
-  LogHistogram* e2e_hist[kNumSloClasses];
-  LogHistogram* ttft_hist[kNumSloClasses];
-  for (int c = 0; c < kNumSloClasses; ++c) {
-    const MetricLabels by_class = {
-        {"class", SloClassName(static_cast<SloClass>(c))}};
-    shed_count[c] = registry.GetCounter("sched.shed", by_class);
-    completed_count[c] = registry.GetCounter("engine.requests.completed", by_class);
-    e2e_hist[c] = registry.GetHistogram("latency.e2e_s", by_class);
-    ttft_hist[c] = registry.GetHistogram("latency.ttft_s", by_class);
-  }
-  LogHistogram* queue_hist = registry.GetHistogram("latency.queue_s");
-  LogHistogram* load_hist = registry.GetHistogram("latency.load_s");
-  Counter* tokens_out = registry.GetCounter("engine.tokens.output");
-  Counter* tokens_prompt = registry.GetCounter("engine.tokens.prompt");
-  Counter* rounds_count = registry.GetCounter("engine.rounds");
-
   const size_t total_mem =
       static_cast<size_t>(config_.exec.tp) * config_.exec.gpu.mem_bytes();
   const size_t model_bytes = exec_.BaseWeightBytesPerGpu() * config_.exec.tp;
@@ -93,349 +178,9 @@ ServeReport VllmScbEngine::Serve(const Trace& trace) {
   store_config.cpu_budget_bytes = 0;
   store_config.disk_read_s = exec_.LoadFullModelFromDisk();
   store_config.h2d_s = exec_.LoadFullModelFromHost();
-  store_config.outages = config_.outages;
-  store_config.registry = config_.registry;
-  store_config.registry_node = config_.registry_node;
-  store_config.registry_warm = config_.registry_warm;
-  // Recorder before store: the store emits per-channel transfer spans into it.
-  // Pure observation, bit-identical when disabled (golden-enforced).
-  TraceRecorder recorder(config_.tracing);
-  ArtifactStore store(store_config, trace.n_models, &registry, &recorder);
-  DZ_CHECK_GE(store.GpuCapacity(), 1);
-
-  // Placement-aware warm-up (prefetch only): the router's predicted models,
-  // drained one low-priority transfer at a time as the channels go idle. These
-  // transfers are asynchronous, so they do not trigger the blocking-swap path
-  // below — only demand swaps stall generation.
-  std::deque<int> pending_hints =
-      PendingWarmHints(config_.prefetch, trace.n_models, store.GpuCapacity());
-
-  std::deque<PendingReq> queue;
-  std::vector<RunningReq> running;
-  // Requests parked on a typed-unavailable artifact (every registry holder
-  // dead); liveness is constant within one Serve call, so retrying would spin.
-  std::vector<PendingReq> blocked_unavailable;
-  size_t next_arrival = 0;
-  double now = config_.start_s;
-  // Completion time of the in-flight *demand* swap (-inf when none). Demand swaps
-  // sit on the worker's critical path; prefetch transfers do not.
-  double demand_ready = -std::numeric_limits<double>::infinity();
-
-  FairQueue fair_queue(config_.scheduler);
-  size_t shed_total = 0;  // loop control only; per-class counts live in the registry
-  double next_snapshot_s = config_.start_s + config_.metrics.interval_s;
-
-  // Request-attributed trace emission (one branch when tracing is off). This
-  // engine has no preemption, so kv.preempt / kv.swap are never emitted here.
-  auto emit_req = [&](TraceEventType type, double ts, const TraceRequest& req) {
-    if (!recorder.enabled()) {
-      return;
-    }
-    TraceEvent ev;
-    ev.type = type;
-    ev.ts_s = ts;
-    ev.request_id = req.id;
-    ev.model_id = req.model_id;
-    ev.tenant_id = req.tenant_id;
-    ev.slo = req.slo;
-    recorder.Emit(ev);
-  };
-
-  auto ingest = [&](double t) {
-    while (next_arrival < trace.requests.size() &&
-           trace.requests[next_arrival].arrival_s <= t) {
-      PendingReq p;
-      p.req = trace.requests[next_arrival++];
-      emit_req(TraceEventType::kRequestQueued, p.req.arrival_s, p.req);
-      queue.push_back(p);
-    }
-    // This engine never re-queues (no preemption), so the queue is permanently
-    // arrival-ordered and the kFcfs stable sort would always be the identity —
-    // skip it (bit-identical by construction) rather than pay O(Q log Q) per
-    // round on a backed-up queue.
-    if (config_.scheduler.policy != SchedPolicy::kFcfs) {
-      OrderQueueForPolicy(config_.scheduler, fair_queue, queue);
-    }
-  };
-
-  auto kv_tokens_in_use = [&]() {
-    long long total = 0;
-    for (const auto& r : running) {
-      total += r.state.req.prompt_tokens + r.state.req.output_tokens;
-    }
-    return total;
-  };
-
-  // Optimistic service lower bound for admission control (batch-1 decode after
-  // an immediate prefill; real scheduling and swaps only add to it).
-  auto min_service_s = [&](PendingReq& p) {
-    if (p.min_service_s < 0.0) {
-      p.min_service_s = exec_.PrefillTime(p.req.prompt_tokens) +
-                        static_cast<double>(std::max(0, p.req.output_tokens - 1)) *
-                            exec_.DecodeIterTime(1, static_cast<double>(p.req.prompt_tokens));
-    }
-    return p.min_service_s;
-  };
-
-  while (report.records.size() + shed_total + blocked_unavailable.size() <
-         trace.requests.size()) {
-    // Hard halt (elastic cluster epoch boundary / crash): stop scheduling.
-    // Checked only here, so completions of the iteration in flight when the
-    // clock crossed halt_s have already landed (documented approximation).
-    if (now >= config_.halt_s) {
-      break;
-    }
-    // In-run timeline: sample the registry on the simulated clock (pure reads,
-    // bit-identical to interval 0).
-    while (config_.metrics.interval_s > 0.0 && now >= next_snapshot_s) {
-      report.timeline.push_back(registry.Snapshot(next_snapshot_s));
-      next_snapshot_s += config_.metrics.interval_s;
-    }
-    rounds_count->Inc();
-    ingest(now);
-
-    // ---- admission control: shed requests whose deadline is already lost ----
-    ShedUnmeetable(
-        config_.scheduler, fair_queue, queue, now, min_service_s,
-        [](const PendingReq& p) {
-          // No preemption here: a queued request has received nothing.
-          return p.req.prompt_tokens + p.req.output_tokens;
-        },
-        [&](const TraceRequest& req) {
-          shed_count[static_cast<int>(req.slo)]->Inc();
-          ++shed_total;
-          emit_req(TraceEventType::kAdmissionShed, now, req);
-        });
-    if (report.records.size() + shed_total + blocked_unavailable.size() ==
-        trace.requests.size()) {
-      break;  // shedding retired the last outstanding requests: nothing left to
-              // simulate, and the idle fast-forward below would have no event
-    }
-
-    // ---- scheduling: policy order; a request runs only when its model is resident ----
-    std::set<int> models_in_use;
-    for (const auto& r : running) {
-      models_in_use.insert(r.state.req.model_id);
-    }
-    std::vector<int> pinned(models_in_use.begin(), models_in_use.end());
-
-    long long kv_used = kv_tokens_in_use();
-    bool load_in_flight = demand_ready > now;
-    for (auto it = queue.begin();
-         it != queue.end() && static_cast<int>(running.size()) < config_.max_batch;) {
-      const int model = it->req.model_id;
-      const long long need = it->req.prompt_tokens + it->req.output_tokens;
-      if (kv_used + need > kv_capacity_tokens) {
-        break;  // head-of-line blocks on KV space
-      }
-      if (it->sched_attempt_s < 0.0) {
-        it->sched_attempt_s = now;
-      }
-      if (!store.IsResident(model, now)) {
-        // Trigger the swap. The engine worker performs weight loading synchronously
-        // (vLLM loads checkpoints in the serving process), so at most one demand swap
-        // is in flight and — crucially — that swap sits on the critical path of every
-        // running request (paper §2.2 "Swapping incurs high latency"). A model already
-        // arriving via prefetch needs no swap: RequestLoad just registers the hit.
-        if (store.IsLoading(model, now)) {
-          store.RequestLoad(model, now, pinned);
-        } else if (!load_in_flight) {
-          if (store.GpuCount(now) >= store.GpuCapacity() &&
-              static_cast<int>(models_in_use.size()) >= store.GpuCapacity()) {
-            ++it;  // every slot is actively serving; wait for one to drain
-            continue;
-          }
-          const ArtifactStore::LoadResult load = store.RequestLoad(model, now, pinned);
-          if (load.ok) {
-            demand_ready = load.ready_at;
-            load_in_flight = true;
-          } else if (load.unavailable) {
-            // Typed registry failure: no live holder can source this model.
-            // Park the request rather than spin on an unsatisfiable swap.
-            blocked_unavailable.push_back(*it);
-            it = queue.erase(it);
-            continue;
-          }
-        }
-        ++it;
-        continue;
-      }
-      store.Touch(model, now);
-      emit_req(TraceEventType::kSchedDispatch, now, it->req);
-      if (config_.scheduler.policy == SchedPolicy::kDwfq) {
-        fair_queue.OnAdmit(it->fair_tag);
-      }
-      RunningReq r;
-      r.state = *it;
-      r.start_s = now;
-      models_in_use.insert(model);
-      pinned.push_back(model);
-      kv_used += need;
-      running.push_back(std::move(r));
-      it = queue.erase(it);
-    }
-
-    // ---- lookahead prefetch: warm the next W distinct waiting models (§8) ----
-    // Unlike the demand swap below these transfers are asynchronous, so the worker
-    // keeps generating for the models already resident while the next checkpoint
-    // travels disk→host→GPU. `pinned` carries every model the running batch uses,
-    // so a prefetch can never evict a running model.
-    if (config_.prefetch.enabled) {
-      RunPrefetchPass(store, config_.prefetch, now, queue, models_in_use, pinned,
-                      pending_hints);
-    }
-
-    // Blocking demand swap: while a model is being copied in on the critical path,
-    // the worker generates nothing. (Prefetch transfers land in the background.)
-    if (demand_ready > now) {
-      now = demand_ready;
-      continue;
-    }
-    if (running.empty()) {
-      // The scheduling pass above may have parked the last outstanding
-      // requests as unavailable: nothing is left to simulate, and the idle
-      // fast-forward below would have no future event to jump to.
-      if (report.records.size() + shed_total + blocked_unavailable.size() ==
-          trace.requests.size()) {
-        break;
-      }
-      double next_t = std::numeric_limits<double>::infinity();
-      if (next_arrival < trace.requests.size()) {
-        next_t = trace.requests[next_arrival].arrival_s;
-      }
-      // With prefetch on, a queued request may be waiting for a background
-      // prefetch to land rather than for a new arrival.
-      next_t = std::min(next_t, store.NextLoadReady(now));
-      DZ_CHECK(next_t < std::numeric_limits<double>::infinity());
-      now = std::max(now, next_t);
-      continue;
-    }
-
-    // ---- iteration: loop over resident models, each a separate full-precision pass ----
-    long long prefill_budget = config_.max_prefill_tokens;
-    std::vector<RunningReq*> prefilling;
-    std::map<int, long long> prefill_tokens_per_model;
-    for (auto& r : running) {
-      if (!r.prefilled && r.state.req.prompt_tokens <= prefill_budget) {
-        prefill_budget -= r.state.req.prompt_tokens;
-        prefill_tokens_per_model[r.state.req.model_id] += r.state.req.prompt_tokens;
-        prefilling.push_back(&r);
-      }
-    }
-    std::map<int, std::pair<int, double>> decode_per_model;  // model → (batch, ctx sum)
-    for (const auto& r : running) {
-      if (r.prefilled) {
-        auto& [batch, ctx] = decode_per_model[r.state.req.model_id];
-        ++batch;
-        ctx += r.state.req.prompt_tokens + r.decoded;
-      }
-    }
-
-    double iter = config_.sched_overhead_s;
-    for (const auto& [model, tokens] : prefill_tokens_per_model) {
-      iter += exec_.PrefillTime(tokens);
-    }
-    for (const auto& [model, batch_ctx] : decode_per_model) {
-      iter += exec_.DecodeIterTime(batch_ctx.first,
-                                   batch_ctx.second / batch_ctx.first);
-    }
-    if (config_.speed_factor != 1.0) {
-      iter /= config_.speed_factor;  // slow-node fault: everything stretches
-    }
-    if (recorder.enabled()) {
-      TraceEvent round;
-      round.type = TraceEventType::kBatchRound;
-      round.ts_s = now;
-      round.dur_s = iter;
-      round.aux = static_cast<int>(running.size());
-      recorder.Emit(round);
-    }
-    now += iter;
-
-    for (auto* r : prefilling) {
-      r->prefilled = true;
-      r->decoded = 1;
-      if (!r->has_first_token) {
-        r->has_first_token = true;
-        r->first_token_s = now;
-        emit_req(TraceEventType::kRequestFirstToken, now, r->state.req);
-      }
-    }
-    for (auto& r : running) {
-      if (r.prefilled &&
-          std::find(prefilling.begin(), prefilling.end(), &r) == prefilling.end()) {
-        r.decoded += 1;
-      }
-    }
-    for (auto it = running.begin(); it != running.end();) {
-      if (it->prefilled && it->decoded >= it->state.req.output_tokens) {
-        RequestRecord rec;
-        rec.id = it->state.req.id;
-        rec.model_id = it->state.req.model_id;
-        rec.tenant_id = it->state.req.tenant_id;
-        rec.slo = it->state.req.slo;
-        rec.prompt_tokens = it->state.req.prompt_tokens;
-        rec.output_tokens = it->state.req.output_tokens;
-        // Latency/SLO clocks run from the original arrival for re-enqueued
-        // (crash-rerouted) requests; identical to arrival_s on plain traces.
-        rec.arrival_s = it->state.req.SloArrival();
-        rec.sched_attempt_s = it->state.sched_attempt_s < 0 ? it->state.req.arrival_s
-                                                            : it->state.sched_attempt_s;
-        rec.start_s = it->start_s;
-        rec.first_token_s = it->first_token_s;
-        rec.finish_s = now;
-        const int cls = static_cast<int>(rec.slo);
-        completed_count[cls]->Inc();
-        e2e_hist[cls]->Record(rec.E2eLatency());
-        ttft_hist[cls]->Record(rec.Ttft());
-        queue_hist->Record(rec.QueueingTime());
-        load_hist->Record(rec.LoadingTime());
-        tokens_out->Inc(static_cast<double>(rec.output_tokens));
-        tokens_prompt->Inc(static_cast<double>(rec.prompt_tokens));
-        report.records.push_back(rec);
-        emit_req(TraceEventType::kRequestDone, now, it->state.req);
-        it = running.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  // Requests the halt cut off: still queued, still running (their partial
-  // progress is lost — the elastic layer re-serves them from scratch), and
-  // never-arrived trace requests. All three sets are empty on a natural run.
-  for (const auto& p : queue) {
-    report.unfinished.push_back(p.req);
-  }
-  for (const auto& r : running) {
-    report.unfinished.push_back(r.state.req);
-  }
-  for (size_t i = next_arrival; i < trace.requests.size(); ++i) {
-    report.unfinished.push_back(trace.requests[i]);
-  }
-  // Parked unavailable requests: carried as unfinished on halted (epoch) runs
-  // (the next epoch may see recovered holders or completed repairs), declared
-  // terminally unavailable on natural runs.
-  const bool halted = config_.halt_s < std::numeric_limits<double>::infinity();
-  for (const auto& p : blocked_unavailable) {
-    (halted ? report.unfinished : report.unavailable).push_back(p.req);
-  }
-  if (config_.registry != nullptr) {
-    report.cached_artifacts = store.LocallyCached();
-  }
-
-  for (const auto& r : report.records) {
-    report.makespan_s = std::max(report.makespan_s, r.finish_s);
-  }
-  report.n_tenants = std::max(1, trace.n_tenants);
-  report.slo_spec = config_.scheduler.slo;
-  FinalizeServeMetrics(registry, report);
-  if (recorder.enabled()) {
-    report.trace_events = recorder.Drain();
-    report.trace_events_dropped = recorder.dropped();
-    report.path_by_class = BuildClassAttribution(ComputeCriticalPaths(report));
-  }
-  return report;
+  EngineCore core(config_, trace, name(), store_config, kv_capacity_tokens);
+  VllmScbPolicy policy{config_, exec_, core};
+  return core.Run(policy);
 }
 
 }  // namespace

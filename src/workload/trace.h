@@ -86,7 +86,6 @@ struct Trace {
   int n_tenants = 1;
   double duration_s = 0.0;
 
-  double TotalRequests() const { return static_cast<double>(requests.size()); }
   // Requests per model (histogram over model ids).
   std::vector<int> ModelCounts() const;
   // Requests per tenant (histogram over tenant ids).

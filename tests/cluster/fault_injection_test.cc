@@ -208,6 +208,25 @@ TEST(FaultInjectionTest, ConservationHoldsWithAdmissionShedding) {
   EXPECT_GT(report.elastic.shed, 0);
 }
 
+// A request too large for any worker's KV pool ends as a typed failure in the
+// ledger instead of aborting the run; everything else still completes.
+TEST(FaultInjectionTest, RequestLargerThanKvPoolFailsTypedAndConserves) {
+  TraceConfig tcfg = ChaosTraceConfig();
+  tcfg.arrival_rate = 2.0;
+  tcfg.duration_s = 60.0;
+  Trace trace = GenerateTrace(tcfg);
+  ASSERT_GT(trace.requests.size(), 10u);
+  trace.requests[5].output_tokens = 100000000;
+
+  ClusterConfig cfg = ChaosClusterConfig(PlacementPolicy::kDeltaAffinity);
+  ASSERT_TRUE(ParseFaultPlan("crash@20:w1,recover@40:w1,detect=2", cfg.faults));
+  const ClusterReport report = Cluster(cfg).Serve(trace);
+  ExpectConservation(report, static_cast<long long>(trace.requests.size()));
+  EXPECT_EQ(report.elastic.failed, 1);
+  EXPECT_EQ(report.elastic.completed,
+            static_cast<long long>(trace.requests.size()) - 1);
+}
+
 TEST(FaultPlanTest, ParsesEveryTokenKind) {
   FaultPlan plan;
   ASSERT_TRUE(ParseFaultPlan(

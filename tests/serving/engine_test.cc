@@ -1,5 +1,7 @@
 #include "src/serving/engine.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/util/stats.h"
@@ -170,6 +172,75 @@ TEST(EngineTest, SaturatingArrivalRateRaisesLatency) {
   const ServeReport r_sat =
       MakeDeltaZipEngine(Default13BConfig())->Serve(GenerateTrace(saturated));
   EXPECT_GT(r_sat.MeanE2e(), r_mod.MeanE2e());
+}
+
+// One request of `prompt` + `output` tokens at t = 0 on model 0.
+Trace SingleRequestTrace(int prompt, int output) {
+  Trace trace;
+  trace.n_models = 1;
+  trace.duration_s = 1.0;
+  TraceRequest req;
+  req.prompt_tokens = prompt;
+  req.output_tokens = output;
+  trace.requests.push_back(req);
+  return trace;
+}
+
+struct NamedEngine {
+  const char* name;
+  std::unique_ptr<ServingEngine> (*make)(const EngineConfig&);
+  ArtifactKind artifact;
+};
+
+const NamedEngine kEngines[] = {
+    {"deltazip", MakeDeltaZipEngine, ArtifactKind::kCompressedDelta},
+    {"vllm-scb", MakeVllmScbEngine, ArtifactKind::kFullModel},
+};
+
+// A prompt longer than the per-iteration prefill budget still gets its
+// prefill: the round's first prefill is always taken. The finite halt turns a
+// request that is never prefilled into an unfinished one instead of a hang.
+TEST(EngineTest, PromptLongerThanPrefillBudgetIsServed) {
+  for (const NamedEngine& e : kEngines) {
+    SCOPED_TRACE(e.name);
+    EngineConfig cfg = Default13BConfig();
+    cfg.artifact = e.artifact;
+    cfg.halt_s = 600.0;
+    const Trace trace = SingleRequestTrace(
+        static_cast<int>(cfg.max_prefill_tokens) + 1, 8);
+    const ServeReport report = e.make(cfg)->Serve(trace);
+    ASSERT_EQ(report.records.size(), 1u);
+    EXPECT_TRUE(report.unfinished.empty());
+    EXPECT_GT(report.records[0].first_token_s, report.records[0].start_s);
+    EXPECT_LT(report.records[0].finish_s, 60.0);
+  }
+}
+
+// A request whose KV footprint exceeds the whole KV pool can never be
+// admitted. It is parked as a typed failure — unavailable on a natural run,
+// unfinished on a halted one — while the rest of the trace is served.
+TEST(EngineTest, RequestLargerThanKvPoolIsParkedNotFatal) {
+  for (const NamedEngine& e : kEngines) {
+    for (bool halted : {false, true}) {
+      SCOPED_TRACE(std::string(e.name) + (halted ? " halted" : " natural"));
+      EngineConfig cfg = Default13BConfig();
+      cfg.artifact = e.artifact;
+      if (halted) {
+        cfg.halt_s = 600.0;
+      }
+      Trace trace = GenerateTrace(SmallTraceConfig());
+      ASSERT_GT(trace.requests.size(), 3u);
+      const int huge_id = trace.requests[2].id;
+      trace.requests[2].output_tokens = 100000000;
+      const ServeReport report = e.make(cfg)->Serve(trace);
+      EXPECT_EQ(report.records.size(), trace.requests.size() - 1);
+      const std::vector<TraceRequest>& parked =
+          halted ? report.unfinished : report.unavailable;
+      ASSERT_EQ(parked.size(), 1u);
+      EXPECT_EQ(parked[0].id, huge_id);
+      EXPECT_TRUE((halted ? report.unavailable : report.unfinished).empty());
+    }
+  }
 }
 
 }  // namespace

@@ -539,5 +539,99 @@ TEST(GoldenReportTest, KernelBackendChoiceCannotMoveGoldens) {
   }
 }
 
+// Engine paths the single-class goldens above never reach: multi-tenant
+// policies, shedding, class and parent-finish preemption, prefetch with warm
+// hints, LoRA artifacts and the vLLM-SCB baseline under priority. Each case
+// replays one 8-tenant flash-crowd trace; the expected values were captured
+// from the two separate engine loops that preceded the shared EngineCore.
+struct EnginePin {
+  const char* name;
+  void (*configure)(const Trace& trace, EngineConfig& cfg);
+  bool vllm;
+  size_t records;
+  double makespan_s;
+  GoldenSums sums;
+  std::array<int, kNumSloClasses> shed_by_class;
+  double preemptions;
+  int total_loads;
+  int prefetch_issued;
+  int prefetch_hits;
+  int prefetch_wasted;
+  double stall_hidden_s;
+};
+
+Trace FlashCrowdTrace() {
+  TraceConfig tc = GoldenTraceConfig();
+  tc.arrival_rate = 10.0;
+  tc.n_models = 32;
+  tc.tenants.n_tenants = 8;
+  tc.tenants.scenario = TenantScenario::kFlashCrowd;
+  tc.tenants.interactive_frac = 0.3;
+  tc.tenants.batch_frac = 0.2;
+  return GenerateTrace(tc);
+}
+
+const EnginePin kEnginePins[] = {
+    {"DeltaZipDwfqShedsAndPreemptsByClass",
+     [](const Trace&, EngineConfig& cfg) {
+       cfg.exec.tp = 1;  // one GPU: the flash crowd outruns it and sheds
+       cfg.scheduler.policy = SchedPolicy::kDwfq;
+       cfg.scheduler.admission_control = true;
+       cfg.scheduler.class_preemption = true;
+     },
+     false, 1051, 132.78901528081875,
+     {69461.491160981604, 69635.588246223197, 73523.269506099503}, {42, 0, 0},
+     3376.0, 71, 0, 0, 0, 0.0},
+    {"DeltaZipPriorityPrefetchesWarmHints",
+     [](const Trace& trace, EngineConfig& cfg) {
+       cfg.scheduler.policy = SchedPolicy::kPriority;
+       cfg.prefetch.enabled = true;
+       cfg.prefetch.warm_hints = ModelsByPopularity(trace, 4);
+     },
+     false, 1093, 91.028110709107096,
+     {48643.149973537569, 48668.709054636071, 49607.080145562832}, {0, 0, 0},
+     1027.0, 60, 4, 4, 0, 0.20483146561265519},
+    {"DeltaZipLoraAdapters",
+     [](const Trace&, EngineConfig& cfg) { cfg.artifact = ArtifactKind::kLoraAdapter; },
+     false, 1093, 90.829357557984906,
+     {48456.673020759226, 48472.633781733442, 49165.756477340816}, {0, 0, 0},
+     1031.0, 66, 0, 0, 0, 0.0},
+    {"VllmScbPriorityShedsAndPrefetches",
+     [](const Trace&, EngineConfig& cfg) {
+       cfg.artifact = ArtifactKind::kFullModel;
+       cfg.scheduler.policy = SchedPolicy::kPriority;
+       cfg.scheduler.admission_control = true;
+       cfg.prefetch.enabled = true;
+     },
+     true, 341, 723.36600895242293,
+     {130155.90458705687, 131976.83743440703, 152044.47211359706}, {279, 470, 3},
+     0.0, 22, 10, 10, 0, 8.9124742138367594},
+};
+
+TEST(GoldenReportTest, MultiTenantEnginePathsStayGolden) {
+  const Trace trace = FlashCrowdTrace();
+  for (const EnginePin& pin : kEnginePins) {
+    SCOPED_TRACE(pin.name);
+    EngineConfig cfg = GoldenEngineConfig();
+    pin.configure(trace, cfg);
+    const ServeReport r = pin.vllm ? MakeVllmScbEngine(cfg)->Serve(trace)
+                                   : MakeDeltaZipEngine(cfg)->Serve(trace);
+    EXPECT_EQ(r.records.size(), pin.records);
+    EXPECT_DOUBLE_EQ(r.makespan_s, pin.makespan_s);
+    const GoldenSums s = SumsOf(r);
+    EXPECT_DOUBLE_EQ(s.sum_start, pin.sums.sum_start);
+    EXPECT_DOUBLE_EQ(s.sum_first, pin.sums.sum_first);
+    EXPECT_DOUBLE_EQ(s.sum_finish, pin.sums.sum_finish);
+    EXPECT_EQ(r.shed_by_class, pin.shed_by_class);
+    EXPECT_EQ(r.metrics.Value("engine.preemptions"), pin.preemptions);
+    EXPECT_EQ(r.total_loads, pin.total_loads);
+    EXPECT_EQ(r.prefetch_issued, pin.prefetch_issued);
+    EXPECT_EQ(r.prefetch_hits, pin.prefetch_hits);
+    EXPECT_EQ(r.prefetch_wasted, pin.prefetch_wasted);
+    EXPECT_DOUBLE_EQ(r.stall_hidden_s, pin.stall_hidden_s);
+    ExpectSnapshotBacksReport(r);
+  }
+}
+
 }  // namespace
 }  // namespace dz

@@ -4,6 +4,8 @@
 #      resolves to an existing file.
 #   2. docs/REPRODUCE.md mentions every bench target registered in
 #      bench/CMakeLists.txt, so a new bench cannot land undocumented.
+#   3. Every backticked `src/...` path in README.md and docs/*.md exists
+#      (one {a,b} brace group is expanded; globs such as `x.*` must match).
 # Usage: tools/check_docs.sh [repo-root]   (defaults to the script's parent)
 set -u
 
@@ -50,8 +52,30 @@ else
   done < <(grep -oE 'bench_[a-z0-9_]+' "$root/bench/CMakeLists.txt" | sort -u)
 fi
 
+# --- 3. backticked src/ paths exist ----------------------------------------
+for f in "${docs[@]}"; do
+  [ "$f" = "$root/ROADMAP.md" ] && continue  # names planned files too
+  [ -f "$f" ] || continue
+  while IFS= read -r path; do
+    expanded=("$path")
+    if [[ "$path" =~ ^(.*)\{([^}]*)\}(.*)$ ]]; then
+      expanded=()
+      IFS=, read -ra alts <<< "${BASH_REMATCH[2]}"
+      for alt in "${alts[@]}"; do
+        expanded+=("${BASH_REMATCH[1]}${alt}${BASH_REMATCH[3]}")
+      done
+    fi
+    for p in "${expanded[@]}"; do
+      if ! compgen -G "$root/$p" > /dev/null; then
+        echo "DEAD SRC PATH: $f -> $p"
+        fail=1
+      fi
+    done
+  done < <(grep -oE '`src/[^`]*`' "$f" | tr -d '`' | sort -u)
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
-echo "docs check OK (${#docs[@]} files, all links resolve, all benches documented)"
+echo "docs check OK (${#docs[@]} files, all links and src/ paths resolve, all benches documented)"
